@@ -38,11 +38,13 @@ from .errors import (
 from .evolutions import (
     Depolarizing,
     Evolution,
+    PauliDiagonal,
     PauliProbs,
     PauliRates,
     PRESET_NAMES,
     QuasiEternal,
     ShiftedEvolution,
+    ShiftedPauli,
     ValidationReport,
     make_preset,
     pauli_from_rates,

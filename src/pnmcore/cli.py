@@ -45,7 +45,7 @@ from .evolutions import (
     validate_spec,
 )
 from .exprparse import ScalarFn
-from .measures import eb_time_qubit, measure_report
+from .measures import MeasureReport, eb_time_qubit, measure_report
 
 DEFAULT_HORIZON = 5.0
 DEFAULT_GRID = 400
@@ -79,6 +79,17 @@ class AnalysisConfig:
     seed: int = 0
 
 
+def _field(spec: dict, key: str, default, kind, pointer: str):
+    """spec[key], or default, converted by kind (float or int); finite."""
+    try:
+        value = kind(spec.get(key, default))
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"field {key!r} must be a finite number", f"{pointer}/{key}")
+
+
 def _expr(spec: dict, key: str, pointer: str) -> ScalarFn:
     text = spec.get(key)
     if not isinstance(text, str):
@@ -98,21 +109,23 @@ def _build_evolution(spec: dict, strict: bool) -> Evolution:
         if strict:
             raise SchemaError(msg, "/evolution")
         print(f"warning: {msg}", file=sys.stderr)
+    numbers = ("alpha", "t0", "t_unitary")
+    params = {k: _field(spec, k, None, float, "/evolution") for k in numbers if k in spec}
+    params["dim"] = _field(spec, "dim", 2, int, "/evolution")
+    if params["dim"] < 2:
+        raise SchemaError("dim must be at least 2", "/evolution/dim")
     if "preset" in spec:
-        name = spec["preset"]
-        if name not in PRESET_NAMES:
-            raise SchemaError(f"unknown preset {name!r}", "/evolution/preset")
-        params = {k: spec[k] for k in ("alpha", "t0", "t_unitary", "dim") if k in spec}
+        if spec["preset"] not in PRESET_NAMES:
+            raise SchemaError(f"unknown preset {spec['preset']!r}", "/evolution/preset")
         try:
-            return make_preset(name, **params)
-        except CPTPViolation as exc:
+            return make_preset(spec["preset"], **params)
+        except (CPTPViolation, ValueError) as exc:
             raise SchemaError(str(exc), "/evolution")
     kind = spec.get("type")
     if kind == "depolarizing":
-        return Depolarizing(_expr(spec, "f", "/evolution"), dim=int(spec.get("dim", 2)))
+        return Depolarizing(_expr(spec, "f", "/evolution"), dim=params["dim"])
     if kind == "quasiEternal":
-        alpha = float(spec.get("alpha", 0.0))
-        t0 = float(spec.get("t0", 0.0))
+        alpha, t0 = params.get("alpha", 0.0), params.get("t0", 0.0)
         if alpha <= 0:
             raise SchemaError("alpha must be positive", "/evolution/alpha")
         if t0 < t0_alpha(alpha) - 1e-12:
@@ -120,7 +133,9 @@ def _build_evolution(spec: dict, strict: bool) -> Evolution:
                 f"t0 = {t0} below the validity threshold {t0_alpha(alpha):.6f}",
                 "/evolution/t0",
             )
-        return QuasiEternal(alpha=alpha, t0=t0, t_unitary=float(spec.get("t_unitary", 0.0)))
+        if params.get("t_unitary", 0.0) < 0:
+            raise SchemaError("t_unitary must be non-negative", "/evolution/t_unitary")
+        return QuasiEternal(alpha=alpha, t0=t0, t_unitary=params.get("t_unitary", 0.0))
     if kind == "pauliRates":
         return PauliRates(*(_expr(spec, k, "/evolution") for k in ("g_x", "g_y", "g_z")))
     if kind == "pauliProbs":
@@ -128,8 +143,9 @@ def _build_evolution(spec: dict, strict: bool) -> Evolution:
     raise SchemaError(f"unknown evolution type {kind!r}", "/evolution/type")
 
 
-def load_config(text_or_path: str, strict: bool = True) -> AnalysisConfig:
-    """Parse and validate a JSON config given as text or a file path."""
+def load_config(text_or_path: str, strict: bool = True, overrides=None) -> AnalysisConfig:
+    """Parse and validate a JSON config given as text or a file path; the
+    non-None entries of overrides (command-line options) replace its fields."""
     text = text_or_path
     if not text.lstrip().startswith("{"):
         try:
@@ -151,16 +167,19 @@ def load_config(text_or_path: str, strict: bool = True) -> AnalysisConfig:
         print(f"warning: {msg}", file=sys.stderr)
     if "evolution" not in raw:
         raise SchemaError("missing required field 'evolution'", "/evolution")
-    horizon = float(raw.get("horizon", DEFAULT_HORIZON))
-    if horizon <= 0 or not math.isfinite(horizon):
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    horizon = _field(raw, "horizon", DEFAULT_HORIZON, float, "")
+    if horizon <= 0:
         raise SchemaError("horizon must be positive and finite", "/horizon")
-    grid_points = int(raw.get("grid_points", DEFAULT_GRID))
+    grid_points = _field(raw, "grid_points", DEFAULT_GRID, int, "")
     if grid_points < 16:
         raise SchemaError("grid_points must be at least 16", "/grid_points")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise SchemaError("'tolerances' must be an object", "/tolerances")
-    outputs = tuple(raw.get("outputs", ["report"]))
+    outputs = raw.get("outputs", ["report"])
+    if not isinstance(outputs, list):
+        raise SchemaError("'outputs' must be a list", "/outputs")
     for o in outputs:
         if o not in ("report", "grid", "flux"):
             raise SchemaError(f"unknown output {o!r}", "/outputs")
@@ -169,9 +188,9 @@ def load_config(text_or_path: str, strict: bool = True) -> AnalysisConfig:
         evolution_spec=raw["evolution"],
         horizon=horizon,
         grid_points=grid_points,
-        scan_tol=float(tol.get("scan", 1e-10)),
-        outputs=outputs,
-        seed=int(raw.get("seed", 0)),
+        scan_tol=_field(tol, "scan", 1e-10, float, "/tolerances"),
+        outputs=tuple(outputs),
+        seed=_field(raw, "seed", 0, int, ""),
     )
 
 
@@ -217,10 +236,7 @@ def run_report(cfg: AnalysisConfig) -> dict:
     elif ct.classification == "Markovian":
         measures = measure_report(e, cfg.horizon, math.inf)
     if measures is not None:
-        md = dataclasses.asdict(measures)
-        md["values_are_lower_bounds"] = not measures.exact
-        del md["exact"]
-        doc["measures"] = md
+        doc["measures"] = _measures_dict(measures)
     if ct.classification == "NNM":
         core = extract_pnm_core(e, ct.T)
         core_ct = ct.shifted()
@@ -231,12 +247,16 @@ def run_report(cfg: AnalysisConfig) -> dict:
                 characteristic_times(core, core_grid_h, cfg.grid_points)
             ),
         }
-        core_measures = measure_report(core, core_grid_h, 0.0)
-        cm = dataclasses.asdict(core_measures)
-        cm["values_are_lower_bounds"] = not core_measures.exact
-        del cm["exact"]
-        doc["core"]["measures"] = cm
+        doc["core"]["measures"] = _measures_dict(measure_report(core, core_grid_h, 0.0))
     return doc
+
+
+def _measures_dict(rep: MeasureReport) -> dict:
+    """The measure bundle as strict JSON: a non-finite value (a divergent
+    rhp) is null, as in _times_dict."""
+    md = dataclasses.asdict(rep)
+    md["values_are_lower_bounds"] = not md.pop("exact")
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in md.items()}
 
 
 def _fmt(x: float) -> str:
@@ -261,11 +281,12 @@ def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
                     "n": grid.n,
                     "regularized": grid.regularized,
                     "cells": [
-                        {"s": s, "t": t, "value": None if math.isnan(v) else v, "class": c}
+                        {"s": s, "t": t, "value": v if math.isfinite(v) else None, "class": c}
                         for s, t, v, c in grid.cells()
                     ],
                 },
                 indent=2,
+                allow_nan=False,
             )
             + "\n"
         )
@@ -281,7 +302,7 @@ def _write(text: str, out: Optional[str]):
 
 
 def _json_doc(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -315,17 +336,8 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        cfg = load_config(args.config, strict=args.strict)
-        if args.horizon is not None or args.grid is not None:
-            cfg = dataclasses.replace(
-                cfg,
-                horizon=args.horizon if args.horizon is not None else cfg.horizon,
-                grid_points=args.grid if args.grid is not None else cfg.grid_points,
-            )
-            if cfg.horizon <= 0:
-                raise SchemaError("horizon must be positive", "/horizon")
-            if cfg.grid_points < 16:
-                raise SchemaError("grid_points must be at least 16", "/grid_points")
+        overrides = {"horizon": args.horizon, "grid_points": args.grid}
+        cfg = load_config(args.config, strict=args.strict, overrides=overrides)
     except (ParseError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -341,7 +353,7 @@ def main(argv=None) -> int:
         if args.command == "measures":
             ct = characteristic_times(cfg.evolution, cfg.horizon, cfg.grid_points)
             rep = measure_report(cfg.evolution, cfg.horizon, ct.T)
-            _write(_json_doc(dataclasses.asdict(rep)), args.out)
+            _write(_json_doc(_measures_dict(rep)), args.out)
             return 0
         if args.command == "core":
             ct = characteristic_times(cfg.evolution, cfg.horizon, cfg.grid_points)
@@ -356,7 +368,7 @@ def main(argv=None) -> int:
             doc = {
                 "parent_times": _times_dict(ct),
                 "core_times": _times_dict(ct.shifted()),
-                "core_measures": dataclasses.asdict(measure_report(core, h, 0.0)),
+                "core_measures": _measures_dict(measure_report(core, h, 0.0)),
             }
             _write(_json_doc(doc), args.out)
             return 0

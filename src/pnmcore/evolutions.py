@@ -3,12 +3,13 @@ rate-driven), quasi-eternal, and time-shifted derived evolutions.
 
 Every family exposes the dynamical map at time t and the intermediate map
 between two times, plus a closed-form smallest Choi eigenvalue wherever
-the family provides one (numeric inversion is only a fallback).
+the family provides one (numeric inversion is only a fallback).  The qubit
+Pauli families also give their map eigenvalues for whole arrays of times,
+and the analysis runs on those; their dense maps serve as the test oracle.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ from .errors import (
     UndefinedIntermediateMap,
 )
 from .exprparse import ScalarFn
-from .numerics import adaptive_simpson, bisect_root
+from .numerics import CumulativeIntegral, bisect_root
 
 F_ZERO_TOL = 1e-12
 
@@ -69,6 +70,17 @@ def pauli_eigs_from_probs(p0: float, px: float, py: float, pz: float):
     ly = p0 - px + py - pz
     lz = p0 - px - py + pz
     return (lx, ly, lz)
+
+
+def pauli_probs(lam):
+    """Choi spectrum (p_0, p_x, p_y, p_z) of Pauli maps with eigenvalues lam[..., k]."""
+    return pauli_probs_from_eigs(*np.moveaxis(np.asarray(lam, dtype=float), -1, 0))
+
+
+def pauli_min_prob(lam):
+    """Smallest Choi eigenvalue of Pauli maps with eigenvalues lam[..., k]."""
+    p0, px, py, pz = pauli_probs(lam)
+    return np.minimum(np.minimum(p0, px), np.minimum(py, pz))
 
 
 class Evolution:
@@ -148,78 +160,77 @@ class Depolarizing(Evolution):
         return find_first_zero(self.f, horizon)
 
 
+class PauliDiagonal(Evolution):
+    """A qubit family sigma_k -> lambda_k(t) sigma_k.  Subclasses give
+    `map_eigenvalues(ts)`, lambda_x, lambda_y, lambda_z with shape (..., 3)
+    for a float or an array of times; V_{t,s} has lambda(t) / lambda(s)."""
+
+    singular_tol = -math.inf  # |lambda(s)| at or below it: V_{t,s} raises SingularMap
+
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        raise NotImplementedError
+
+    def dynamical_eigenvalues(self, ts) -> np.ndarray:
+        """map_eigenvalues, raising wherever dynamical_map would."""
+        return self.map_eigenvalues(ts)
+
+    def intermediate_eigenvalues(self, s, t) -> np.ndarray:
+        """lambda(t) / lambda(s), the eigenvalues of V_{t,s}, broadcast over s and t."""
+        if not (np.all(0 <= np.asarray(s)) and np.all(np.asarray(s) <= t)):
+            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+        at_s = self.map_eigenvalues(s)
+        if np.min(np.abs(at_s)) <= self.singular_tol:
+            raise SingularMap(f"Pauli map not invertible at s={s}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.map_eigenvalues(t) / at_s
+
+    def dynamical_map(self, t: float) -> linalg.Superoperator:
+        return linalg.pauli_superoperator(pauli_probs(self.dynamical_eigenvalues(t)))
+
+    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
+        return linalg.pauli_superoperator(pauli_probs(self.intermediate_eigenvalues(s, t)))
+
+    def intermediate_min_choi(self, s, t):
+        # the Choi eigenvalues of a Pauli map are its four probabilities
+        return pauli_min_prob(self.intermediate_eigenvalues(s, t))
+
+    def is_unitary_at(self, t: float) -> bool:
+        # a Pauli map is unitary iff it is conjugation by a single sigma_i
+        return bool(max(pauli_probs(self.map_eigenvalues(t))) >= 1.0 - 1e-9)
+
+
 @dataclass(frozen=True)
-class PauliProbs(Evolution):
+class PauliProbs(PauliDiagonal):
     """Qubit Pauli evolution given by probability functions p_x, p_y, p_z."""
 
     p_x: ScalarFn
     p_y: ScalarFn
     p_z: ScalarFn
     dim: int = 2
+    singular_tol = 1e-12
 
-    def probs_at(self, t: float):
-        px, py, pz = (float(p(t)) for p in (self.p_x, self.p_y, self.p_z))
-        if not all(map(math.isfinite, (px, py, pz))):
-            raise NonFiniteResult(f"Pauli probabilities not finite at t={t}")
+    def probs_at(self, ts):
+        """(p_0, p_x, p_y, p_z) at a float or an array of times."""
+        ts = np.asarray(ts, dtype=float)
+        fns = (self.p_x, self.p_y, self.p_z)
+        px, py, pz = (np.broadcast_to(np.asarray(p(ts), dtype=float), ts.shape) for p in fns)
+        bad = ~np.isfinite(px + py + pz)
+        if np.any(bad):
+            raise NonFiniteResult(f"Pauli probabilities not finite at t={ts[bad].flat[0]}")
         return (1.0 - px - py - pz, px, py, pz)
 
-    def map_eigenvalues(self, t: float):
-        return pauli_eigs_from_probs(*self.probs_at(t))
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        return np.stack(pauli_eigs_from_probs(*self.probs_at(ts)), axis=-1)
 
-    def dynamical_map(self, t: float) -> linalg.Superoperator:
-        probs = self.probs_at(t)
-        if min(probs) < -1e-9:
-            raise CPTPViolation(f"Pauli probabilities {probs} negative at t={t}")
-        return linalg.pauli_superoperator(probs)
-
-    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        return linalg.pauli_superoperator(self._intermediate_probs(s, t))
-
-    def _intermediate_probs(self, s: float, t: float):
-        if not 0 <= s <= t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        es = self.map_eigenvalues(s)
-        et = self.map_eigenvalues(t)
-        if min(abs(e) for e in es) <= 1e-12:
-            raise SingularMap(f"Pauli map not invertible at s={s}")
-        return pauli_probs_from_eigs(*(a / b for a, b in zip(et, es)))
-
-    def intermediate_min_choi(self, s: float, t: float) -> float:
-        # Choi eigenvalues of a Pauli map are its four probabilities
-        return min(self._intermediate_probs(s, t))
-
-    def is_unitary_at(self, t: float) -> bool:
-        # a Pauli map is unitary iff it is conjugation by a single sigma_i
-        return max(self.probs_at(t)) >= 1.0 - 1e-9
-
-
-class _RateIntegral:
-    """Cumulative integral of a rate function with a sorted cache."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.points = [(0.0, 0.0)]  # sorted (t, integral from 0)
-
-    def _value(self, t: float) -> float:
-        v = float(self.fn(t))
-        # rates with a removable endpoint singularity (bounded oscillation
-        # like sin(1/t) tanh(t) at t = 0) evaluate to nan exactly there
-        return v if math.isfinite(v) else 0.0
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("rates are integrated from 0")
-        i = bisect.bisect_right(self.points, (t, math.inf)) - 1
-        lo = self.points[i]
-        if lo[0] == t:
-            return lo[1]
-        total = lo[1] + adaptive_simpson(self._value, lo[0], t, tol=1e-9, max_depth=40)
-        bisect.insort(self.points, (t, total))
-        return total
+    def dynamical_eigenvalues(self, ts) -> np.ndarray:
+        bad = np.min(self.probs_at(ts), axis=0) < -1e-9
+        if np.any(bad):
+            raise CPTPViolation(f"Pauli probabilities negative at t={np.asarray(ts)[bad].flat[0]}")
+        return self.map_eigenvalues(ts)
 
 
 @dataclass
-class PauliRates(Evolution):
+class PauliRates(PauliDiagonal):
     """Qubit Pauli evolution defined by master-equation rates gamma_i(t).
 
     Map eigenvalues are lambda_i(t) = exp(-2 Int_0^t (gamma_j + gamma_k)),
@@ -233,57 +244,26 @@ class PauliRates(Evolution):
     _integrals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._integrals = (
-            _RateIntegral(self.g_x),
-            _RateIntegral(self.g_y),
-            _RateIntegral(self.g_z),
+        self._integrals = tuple(CumulativeIntegral(g) for g in (self.g_x, self.g_y, self.g_z))
+
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        ix, iy, iz = (integral(ts) for integral in self._integrals)
+        return np.stack(
+            [np.exp(-2.0 * (iy + iz)), np.exp(-2.0 * (ix + iz)), np.exp(-2.0 * (ix + iy))], axis=-1
         )
-
-    def map_eigenvalues(self, t: float):
-        ix, iy, iz = (g(t) for g in self._integrals)
-        return (
-            math.exp(-2.0 * (iy + iz)),
-            math.exp(-2.0 * (ix + iz)),
-            math.exp(-2.0 * (ix + iy)),
-        )
-
-    def probs_at(self, t: float):
-        return pauli_probs_from_eigs(*self.map_eigenvalues(t))
-
-    def dynamical_map(self, t: float) -> linalg.Superoperator:
-        return linalg.pauli_superoperator(self.probs_at(t))
-
-    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        return linalg.pauli_superoperator(self._intermediate_probs(s, t))
-
-    def _intermediate_probs(self, s: float, t: float):
-        if not 0 <= s <= t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        es = self.map_eigenvalues(s)
-        et = self.map_eigenvalues(t)
-        return pauli_probs_from_eigs(*(a / b for a, b in zip(et, es)))
-
-    def intermediate_min_choi(self, s: float, t: float) -> float:
-        return min(self._intermediate_probs(s, t))
 
     def rate_min(self, t: float) -> float:
-        vals = []
-        for g in (self.g_x, self.g_y, self.g_z):
-            v = float(g(t))
-            vals.append(v if math.isfinite(v) else 0.0)
-        return min(vals)
-
-    def is_unitary_at(self, t: float) -> bool:
-        return max(self.probs_at(t)) >= 1.0 - 1e-9
+        rates = np.array([float(g(t)) for g in (self.g_x, self.g_y, self.g_z)])
+        return float(np.min(np.where(np.isfinite(rates), rates, 0.0)))
 
 
 def pauli_from_rates(g_x: ScalarFn, g_y: ScalarFn, g_z: ScalarFn, t: float):
     """Pauli probabilities at time t of the evolution driven by the rates."""
-    return PauliRates(g_x, g_y, g_z).probs_at(t)
+    return pauli_probs(PauliRates(g_x, g_y, g_z).map_eigenvalues(t))
 
 
 @dataclass(frozen=True)
-class QuasiEternal(Evolution):
+class QuasiEternal(PauliDiagonal):
     """Pauli evolution with rates (alpha/2) {1, 1, -tanh(t - t0)}.
 
     CPTP at all times iff alpha > 0 and t0 >= t0_alpha(alpha).  An optional
@@ -314,25 +294,17 @@ class QuasiEternal(Evolution):
         """Intermediate-map probabilities between s and t (s = 0: dynamical map)."""
         return quasi_eternal_probs(self.alpha, self.t0, self._shift(s), self._shift(t))
 
-    def dynamical_map(self, t: float) -> linalg.Superoperator:
-        return linalg.pauli_superoperator(self.probs(0.0, t))
-
-    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        if not 0 <= s <= t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        return linalg.pauli_superoperator(self.probs(s, t))
-
-    def intermediate_min_choi(self, s: float, t: float) -> float:
-        # p_z(s,t) is always the smallest of the four probabilities
-        return min(self.probs(s, t))
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        # lambda_x = lambda_y = e^{-alpha t} (cosh(t - t0) / cosh t0)^alpha, lambda_z = e^{-2 alpha t}
+        t = np.maximum(0.0, np.asarray(ts, dtype=float) - self.t_unitary)
+        e1 = np.exp(-self.alpha * t)
+        lxy = e1 * np.exp(self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0)))
+        return np.stack([lxy, lxy, e1 * e1], axis=-1)
 
     def rate_min(self, t: float) -> float:
         if t < self.t_unitary:
             return 0.0
-        return min(
-            self.alpha / 2.0,
-            -self.alpha / 2.0 * math.tanh(self._shift(t) - self.t0),
-        )
+        return min(self.alpha / 2.0, -self.alpha / 2.0 * math.tanh(self._shift(t) - self.t0))
 
     def is_unitary_at(self, t: float) -> bool:
         return t <= self.t_unitary + 1e-12
@@ -371,6 +343,17 @@ class ShiftedEvolution(Evolution):
         return linalg.is_unitary_map(self.dynamical_map(t), 1e-9)
 
 
+class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
+    """The core of a Pauli-diagonal parent, with map eigenvalues
+    lambda(t + shift) / lambda(shift).  Its dense maps still come from the
+    parent's intermediate maps."""
+
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        return self.parent.intermediate_eigenvalues(self.shift, np.add(ts, self.shift))
+
+    is_unitary_at = PauliDiagonal.is_unitary_at
+
+
 def _log_cosh(x):
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
@@ -379,15 +362,7 @@ def _log_cosh(x):
 def quasi_eternal_prob_grid(e: QuasiEternal, s, t):
     """Vectorized intermediate-map probabilities (p0, pxy, pz) of a
     quasi-eternal evolution, broadcast over arrays of s and t."""
-    s = np.maximum(0.0, np.asarray(s, dtype=float) - e.t_unitary)
-    t = np.maximum(0.0, np.asarray(t, dtype=float) - e.t_unitary)
-    dt = t - s
-    e1 = np.exp(-e.alpha * dt)
-    e2 = e1 * e1
-    cr = np.exp(e.alpha * (_log_cosh(t - e.t0) - _log_cosh(s - e.t0)))
-    pz = (1.0 + e2 - 2.0 * e1 * cr) / 4.0
-    pxy = (1.0 - e2) / 4.0
-    p0 = 1.0 - 2.0 * pxy - pz
+    p0, pxy, _, pz = pauli_probs(e.map_eigenvalues(t) / e.map_eigenvalues(s))
     return p0, pxy, pz
 
 
@@ -460,23 +435,11 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
             notes.append(f"non-bijective at t = {t_nb:.6f} (f hits zero)")
         return ValidationReport(cptp_ok, f0_ok, tuple(bad), t_nb, cptp_ok, tuple(notes))
 
-    bad = []
-    f0_ok = True
-    for t in ts:
-        try:
-            probs = (
-                evolution.probs(0.0, float(t))
-                if isinstance(evolution, QuasiEternal)
-                else evolution.probs_at(float(t))  # type: ignore[attr-defined]
-            )
-        except AttributeError:
-            probs = None
-        if probs is None:
-            m = linalg.min_choi_eigenvalue(evolution.dynamical_map(float(t)))
-            if m < -1e-9:
-                bad.append((float(t), float(m)))
-        elif min(probs) < -1e-9:
-            bad.append((float(t), float(min(probs))))
+    if isinstance(evolution, PauliDiagonal):
+        pmin = pauli_min_prob(evolution.map_eigenvalues(ts))
+    else:
+        pmin = [linalg.min_choi_eigenvalue(evolution.dynamical_map(float(t))) for t in ts]
+    bad = [(float(t), float(m)) for t, m in zip(ts, pmin) if m < -1e-9]
     ident = linalg.identity_superoperator(evolution.dim)
     f0_ok = bool(np.max(np.abs(evolution.dynamical_map(0.0).matrix - ident.matrix)) <= 1e-9)
     ok = f0_ok and not bad

@@ -113,15 +113,10 @@ def invert_map(s: Superoperator, tol: float = SINGULARITY_TOL) -> Superoperator:
 
 
 def choi_of(s: Superoperator) -> np.ndarray:
-    """Trace-1 Choi matrix: (S ⊗ I) applied to |phi+><phi+|."""
+    """Trace-1 Choi matrix: (S ⊗ I) applied to |phi+><phi+|, a realignment
+    of S: J[(a, i), (b, k)] = S[(a, b), (i, k)] / d in column-stacking order."""
     d = s.dim
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            j += np.kron(apply_map(s, e), e)
-    return j / d
+    return s.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d
 
 
 def min_choi_eigenvalue(s: Superoperator) -> float:

@@ -20,15 +20,17 @@ from . import linalg
 from .errors import (
     DegeneratePair,
     DomainError,
+    NonFiniteResult,
     UndefinedIntermediateMap,
     UnsupportedDimension,
     ZeroDifference,
 )
-from .evolutions import Depolarizing, Evolution, QuasiEternal, quasi_eternal_prob_grid
+from .evolutions import Depolarizing, Evolution, PauliDiagonal, QuasiEternal, pauli_probs
 from .exprparse import ScalarFn, numeric_derivative
 from .numerics import bisect_boundary, bisect_root
 
 HERM_INPUT_TOL = 1e-8
+STATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class StatePair:
         if self.rho1.shape != self.rho2.shape:
             raise DomainError("state pair dimensions differ")
         for rho in (self.rho1, self.rho2):
-            if not linalg.is_valid_density_matrix(rho, tol=1e-8):
+            if not linalg.is_valid_density_matrix(rho, tol=STATE_TOL):
                 raise DomainError("StatePair entries must be density matrices")
 
     @property
@@ -101,6 +103,15 @@ def flux_series(e: Evolution, p: StatePair, horizon: float, n: int) -> FluxSerie
         # trace distance of a depolarized pair scales exactly with f
         d0 = distinguishability(p)
         W = d0 * np.abs(np.asarray(e.f(times), dtype=float))
+    elif isinstance(e, PauliDiagonal) and p.dim == 2:
+        # a Pauli map scales Bloch vectors componentwise, and the trace
+        # distance of two qubit states is the distance of their Bloch vectors
+        lam = e.dynamical_eigenvalues(times)
+        r = np.array([[np.trace(rho @ linalg.PAULI[k]).real for k in "xyz"] for rho in (p.rho1, p.rho2)])
+        # an evolved state is a density matrix iff its Bloch vector has length <= 1
+        if np.max(np.linalg.norm(lam[:, None, :] * r, axis=-1)) > 1.0 + 2.0 * STATE_TOL:
+            raise DomainError("StatePair entries must be density matrices")
+        W = np.linalg.norm(lam * (r[0] - r[1]), axis=-1)
     else:
         W = np.array([distinguishability(evolve_pair(e, p, float(t))) for t in times])
     step = float(times[1] - times[0])
@@ -177,17 +188,16 @@ def amplification_factor(e: Evolution, p: StatePair, T: float) -> float:
 
 
 def _choi_trace_norm_excess(e: Evolution, s: float, t: float) -> float:
-    if isinstance(e, Depolarizing):
-        fs = e.f_at(s)
-        if abs(fs) <= 1e-12:
-            raise UndefinedIntermediateMap(f"f({s}) = 0")
-        g = e.f_at(t) / fs
-        eigs = np.array([(1 + (e.dim**2 - 1) * g), *([1 - g] * (e.dim**2 - 1))]) / e.dim**2
-        return max(0.0, float(np.sum(np.abs(eigs))) - 1.0)
-    if isinstance(e, QuasiEternal):
-        return max(0.0, float(np.sum(np.abs(e.probs(s, t)))) - 1.0)
     choi = linalg.choi_of(e.intermediate_map(s, t))
     return max(0.0, linalg.trace_norm(choi) - 1.0)
+
+
+def _pauli_step_excess(e: PauliDiagonal, times: np.ndarray) -> np.ndarray:
+    """Choi trace-norm excess of each grid-step intermediate map; nan where undefined."""
+    lam = e.map_eigenvalues(times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = pauli_probs(lam[1:] / lam[:-1])
+    return sum(np.abs(p) for p in probs) - 1.0
 
 
 def _rhp_once(e: Evolution, horizon: float, n: int) -> float:
@@ -201,23 +211,9 @@ def _rhp_once(e: Evolution, horizon: float, n: int) -> float:
         k = e.dim**2 - 1
         excess = (np.abs(1 + k * g) + k * np.abs(1 - g)) / (k + 1) - 1.0
         return float(np.sum(np.clip(excess[defined], 0.0, None)))
-    if isinstance(e, QuasiEternal):
-        p0, pxy, pz = quasi_eternal_prob_grid(e, times[:-1], times[1:])
-        tn = np.abs(p0) + 2.0 * np.abs(pxy) + np.abs(pz)
-        return float(np.sum(np.clip(tn - 1.0, 0.0, None)))
-    if hasattr(e, "map_eigenvalues"):
-        eig = np.array([e.map_eigenvalues(float(t)) for t in times])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = eig[1:] / eig[:-1]
-        lx, ly, lz = r[:, 0], r[:, 1], r[:, 2]
-        tn = (
-            np.abs(1 + lx + ly + lz)
-            + np.abs(1 + lx - ly - lz)
-            + np.abs(1 - lx + ly - lz)
-            + np.abs(1 - lx - ly + lz)
-        ) / 4.0
-        good = np.isfinite(tn)
-        return float(np.sum(np.clip(tn[good] - 1.0, 0.0, None)))
+    if isinstance(e, PauliDiagonal):
+        excess = _pauli_step_excess(e, times)
+        return float(np.sum(np.clip(excess[np.isfinite(excess)], 0.0, None)))
     total = 0.0
     for s, t in zip(times[:-1], times[1:]):
         try:
@@ -252,13 +248,30 @@ def rhp_measure(e: Evolution, horizon: float, n: int = 4000, drift_tol: float = 
     return value
 
 
+def _is_eb(e: Evolution, ts):
+    """PPT (entanglement-breaking) test of the qubit dynamical maps at ts; for
+    Pauli-diagonal maps, and depolarizing ones with lambda = (f, f, f), the
+    partial transpose of the Choi state has eigenvalues 1/2 - p_i."""
+    if isinstance(e, PauliDiagonal):
+        lam = e.dynamical_eigenvalues(ts)
+    elif isinstance(e, Depolarizing):
+        f = np.asarray(e.f(ts), dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise NonFiniteResult("f is not finite on the EB grid")
+        lam = np.stack([f, f, f], axis=-1)
+    else:
+        dense = lambda t: linalg.is_eb_qubit(e.dynamical_map(float(t)))
+        return np.vectorize(dense, otypes=[bool])(ts)
+    return 0.5 - np.maximum.reduce(pauli_probs(lam)) >= -1e-10
+
+
 def eb_time_qubit(e: Evolution, horizon: float, n: int = 400) -> Optional[float]:
     """Earliest time after which the map stays entanglement-breaking up to
     the horizon; None if it never does."""
     if e.dim != 2:
         raise UnsupportedDimension(f"EB check implemented for qubits, got dim {e.dim}")
     times = np.linspace(0.0, horizon, n)
-    eb = np.array([linalg.is_eb_qubit(e.dynamical_map(float(t))) for t in times])
+    eb = _is_eb(e, times)
     if not eb[-1]:
         return None
     # onset of the trailing all-EB suffix
@@ -268,7 +281,7 @@ def eb_time_qubit(e: Evolution, horizon: float, n: int = 400) -> Optional[float]
     if idx == 0:
         return 0.0
     return bisect_boundary(
-        lambda x: not linalg.is_eb_qubit(e.dynamical_map(x)),
+        lambda x: not _is_eb(e, x),
         float(times[idx - 1]),
         float(times[idx]),
         xtol=1e-5,

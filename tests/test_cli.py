@@ -213,3 +213,39 @@ def test_cli_eb(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["eb_time"] - math.log(3.0)) < 5e-3
+
+
+@pytest.mark.parametrize(
+    "config, pointer",
+    [
+        ('{"evolution":{"preset":"eternal"},"horizon":"abc"}', "/horizon"),
+        ('{"evolution":{"preset":"eternal"},"horizon":null}', "/horizon"),
+        ('{"evolution":{"preset":"eternal"},"grid_points":"x"}', "/grid_points"),
+        ('{"evolution":{"type":"depolarizing","f":"exp(-t)","dim":1}}', "/evolution/dim"),
+        ('{"evolution":{"preset":"eternal"},"outputs":"report"}', "/outputs"),
+        ('{"evolution":{"preset":"eternal"},"tolerances":{"scan":"x"}}', "/tolerances/scan"),
+        ('{"evolution":{"type":"quasiEternal","alpha":"x","t0":1}}', "/evolution/alpha"),
+    ],
+)
+def test_bad_config_values_exit_1_with_pointer(config, pointer, capsys):
+    assert main(["analyze", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"(at {pointer})" in err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["analyze", "measures", "core"])
+def test_divergent_rhp_is_written_as_null(command, capsys):
+    # f of appendix-f passes through zero, so its RHP integral diverges
+    config = '{"evolution":{"preset":"appendix-f"},"horizon":5.0,"grid_points":100}'
+    assert main([command, "--config", config]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    measures = {"analyze": doc.get("measures"), "measures": doc, "core": doc.get("core_measures")}
+    assert measures[command]["rhp"] is None

@@ -1,0 +1,45 @@
+"""`pnmcore analyze` reports against the golden files in tests/golden/,
+recorded with the dense superoperator path before the array map-eigenvalue
+path replaced it (see tests/golden_configs.py)."""
+
+import json
+import math
+
+import pytest
+
+from tests.golden_configs import GOLDEN_CONFIGS, GOLDEN_DIR, analyze
+
+REL_TOL = 1e-9
+ROUNDOFF = 1e-12  # values below this (an M_W_av of 1e-16) are rounding noise
+
+
+def _reject(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _leaves(doc, pointer=""):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, f"{pointer}/{k}")
+    elif isinstance(doc, list):
+        for k, v in enumerate(doc):
+            yield from _leaves(v, f"{pointer}/{k}")
+    else:
+        yield pointer, doc
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+def test_report_matches_golden(name, tmp_path):
+    analyze(GOLDEN_CONFIGS[name], tmp_path / "report.json")
+    # strict JSON: a non-finite number would hit parse_constant
+    now = dict(_leaves(json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject)))
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    # the golden files predate strict JSON, and hold a divergent rhp as Infinity
+    golden = {k: None if v == math.inf else v for k, v in _leaves(golden)}
+    assert now.keys() == golden.keys()
+    for pointer, want in golden.items():
+        got = now[pointer]
+        if isinstance(want, float):
+            assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ROUNDOFF), (pointer, got, want)
+        else:
+            assert got == want, (pointer, got, want)
