@@ -54,16 +54,6 @@ class CptpGrid:
     regularized: bool = False
     tol: float = SCAN_TOL
 
-    def cells(self):
-        for i in range(self.n):
-            for j in range(i, self.n):
-                yield (
-                    float(self.times[i]),
-                    float(self.times[j]),
-                    float(self.value[i, j]),
-                    CLASS_NAMES[int(self.cls[i, j])],
-                )
-
     def min_value(self):
         """(value, s, t) of the most negative cell."""
         masked = np.where(np.isfinite(self.value), self.value, np.inf)

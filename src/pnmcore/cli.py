@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    CLASS_NAMES,
     CharTimes,
     CptpGrid,
     characteristic_times,
@@ -49,6 +51,7 @@ from .measures import MeasureReport, eb_time_qubit, measure_report
 
 DEFAULT_HORIZON = 5.0
 DEFAULT_GRID = 400
+MAX_GRID = 2048  # scan and export memory grow as grid_points**2
 
 _CONFIG_FIELDS = {"evolution", "horizon", "grid_points", "tolerances", "outputs", "seed"}
 _EVOLUTION_FIELDS = {
@@ -172,8 +175,8 @@ def load_config(text_or_path: str, strict: bool = True, overrides=None) -> Analy
     if horizon <= 0:
         raise SchemaError("horizon must be positive and finite", "/horizon")
     grid_points = _field(raw, "grid_points", DEFAULT_GRID, int, "")
-    if grid_points < 16:
-        raise SchemaError("grid_points must be at least 16", "/grid_points")
+    if not 16 <= grid_points <= MAX_GRID:
+        raise SchemaError(f"grid_points must be from 16 to {MAX_GRID}", "/grid_points")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise SchemaError("'tolerances' must be an object", "/tolerances")
@@ -259,46 +262,50 @@ def _measures_dict(rep: MeasureReport) -> dict:
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in md.items()}
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.11e}"
+_JSON_HEAD = '{\n  "horizon": %s,\n  "n": %s,\n  "regularized": %s,\n  "cells": ['
+_JSON_CELL = '    {\n      "s": %s,\n      "t": %%s,\n      "value": %%s,\n      "class": "%%s"\n    }'
 
 
 def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
-    """Serialize the scan grid; CSV rows are (s, t, value, class) in
-    row-major order with 12 significant digits."""
+    """Serialize the scan grid, one %-format per row s_i.
+
+    CSV: rows (s, t, value, class) in row-major order, %.11e (12 significant
+    digits, nan/inf tokens).  JSON: the json.dumps(indent=2) layout, repr
+    floats, null for a non-finite value."""
+    if fmt not in ("csv", "json"):
+        raise SchemaError(f"unknown format {fmt!r}", "/format")
+    n, times = grid.n, grid.times.tolist()
+    names = np.array([CLASS_NAMES[c] for c in range(len(CLASS_NAMES))], dtype=object)
     if fmt == "csv":
-        lines = ["s,t,value,class"]
-        for s, t, v, c in grid.cells():
-            lines.append(f"{_fmt(s)},{_fmt(t)},{_fmt(v)},{c}")
-        return "\n".join(lines) + "\n"
+        stamps = ["%.11e" % t for t in times]
+        parts, cell, row_sep = ["s,t,value,class\n"], "%s,%%s,%%.11e,%%s\n", ""
+    else:
+        if not np.all(np.isfinite(grid.times)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        stamps = [repr(t) for t in times]
+        dump = lambda x: json.dumps(x, allow_nan=False)
+        parts = [_JSON_HEAD % (dump(grid.horizon), dump(n), dump(grid.regularized)), "\n"]
+        cell, row_sep = _JSON_CELL, ",\n"
+    cells = np.empty((n, 3), dtype=object)  # (t, value, class) of row i in cells[i:]
+    cells[:, 0] = stamps
+    for i in range(n):
+        row, value = cells[i:], grid.value[i, i:]
+        row[:, 1] = value
+        row[:, 2] = names[grid.cls[i, i:]]
+        if fmt == "json":
+            row[~np.isfinite(value), 1] = "null"
+        parts.append(row_sep.join([cell % stamps[i]] * (n - i)) % tuple(row.ravel()))
+        parts.append(row_sep)
     if fmt == "json":
-        return (
-            json.dumps(
-                {
-                    "horizon": grid.horizon,
-                    "n": grid.n,
-                    "regularized": grid.regularized,
-                    "cells": [
-                        {"s": s, "t": t, "value": v if math.isfinite(v) else None, "class": c}
-                        for s, t, v, c in grid.cells()
-                    ],
-                },
-                indent=2,
-                allow_nan=False,
-            )
-            + "\n"
-        )
-    raise SchemaError(f"unknown format {fmt!r}", "/format")
+        parts[-1] = "\n  ]\n}\n" if n else "]\n}\n"
+    return "".join(parts)
 
 
 def _write(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write text in 1 MiB slices, so a grid export is never encoded whole."""
+    with open(out, "w", encoding="utf-8", newline="\n") if out else nullcontext(sys.stdout) as fh:
+        for k in range(0, len(text), 1 << 20):
+            fh.write(text[k : k + (1 << 20)])
 
 
 def _json_doc(doc) -> str:

@@ -1,9 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pnmcore as p
+from pnmcore.analysis import CLASS_NAMES, CptpGrid
 from pnmcore.cli import export_grid, load_config, main, run_report
 from pnmcore.errors import ParseError, SchemaError
 
@@ -137,6 +141,80 @@ def test_export_grid_json_roundtrip():
     assert len(doc["cells"]) == 16 * 17 // 2
 
 
+def _reference_export(grid, fmt):
+    """export_grid as it was before it was vectorized: one Python format
+    call per cell; the oracle for the byte-identity test below."""
+
+    def fmt_(x):
+        return "nan" if math.isnan(x) else f"{x:.11e}"
+
+    cells = [
+        (
+            float(grid.times[i]),
+            float(grid.times[j]),
+            float(grid.value[i, j]),
+            CLASS_NAMES[int(grid.cls[i, j])],
+        )
+        for i in range(grid.n)
+        for j in range(i, grid.n)
+    ]
+    if fmt == "csv":
+        lines = ["s,t,value,class"]
+        for s, t, v, c in cells:
+            lines.append(f"{fmt_(s)},{fmt_(t)},{fmt_(v)},{c}")
+        return "\n".join(lines) + "\n"
+    doc = {
+        "horizon": grid.horizon,
+        "n": grid.n,
+        "regularized": grid.regularized,
+        "cells": [
+            {"s": s, "t": t, "value": v if math.isfinite(v) else None, "class": c}
+            for s, t, v, c in cells
+        ],
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# NaN, +-inf, -0.0, subnormals, the extremes of the exponent range
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]
+SPECIAL_VALUES += [-1e-300, 1e300, 1.7976931348623157e308]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(16, 40),
+    horizon=st.one_of(st.integers(1, 50), st.floats(1e-3, 1e3)),
+    regularized=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+)
+def test_export_grid_matches_per_cell_reference(n, horizon, regularized, seed, extra):
+    rng = np.random.default_rng(seed)
+    pool = np.array(SPECIAL_VALUES + extra)
+    # random mantissas and exponents from 1e-320 to 1e300, mixed with the pool
+    sign = rng.choice([-1.0, 1.0], (n, n))
+    value = sign * rng.random((n, n)) * 10.0 ** rng.uniform(-320, 300, (n, n))
+    pick = rng.random((n, n)) < 0.3
+    value[pick] = rng.choice(pool, pick.sum())
+    value[np.tril_indices(n, -1)] = np.nan
+    grid = CptpGrid(
+        horizon=horizon,
+        n=n,
+        times=np.linspace(0.0, horizon, n),
+        value=value,
+        cls=rng.integers(0, len(CLASS_NAMES), (n, n)).astype(np.int8),
+        regularized=regularized,
+    )
+    for fmt in ("csv", "json"):
+        assert export_grid(grid, fmt) == _reference_export(grid, fmt), fmt
+
+
+def test_export_grid_rejects_unknown_format():
+    grid = p.scan_regions(p.make_preset("eternal"), 1.0, 16)
+    with pytest.raises(SchemaError):
+        export_grid(grid, "xml")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -232,6 +310,17 @@ def test_bad_config_values_exit_1_with_pointer(config, pointer, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert f"(at {pointer})" in err
+
+
+def test_grid_points_over_ceiling_exits_1(capsys):
+    # rejected before any scan, from the config and from --grid: a
+    # 2049-point grid is never built
+    over = '{"evolution":{"preset":"eternal"},"grid_points":2049}'
+    assert main(["scan", "--config", over]) == 1
+    assert "(at /grid_points)" in capsys.readouterr().err
+    config = '{"evolution":{"preset":"eternal"},"grid_points":64}'
+    assert main(["scan", "--config", config, "--grid", "2049"]) == 1
+    assert "(at /grid_points)" in capsys.readouterr().err
 
 
 def _strict_json(text):

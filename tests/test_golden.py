@@ -1,6 +1,7 @@
 """`pnmcore analyze` reports against the golden files in tests/golden/,
 recorded with the dense superoperator path before the array map-eigenvalue
-path replaced it (see tests/golden_configs.py)."""
+path replaced it (see tests/golden_configs.py), and `export_grid` output
+against the digests in tests/golden/grids.json (see tests/golden_grids.py)."""
 
 import json
 import math
@@ -8,6 +9,7 @@ import math
 import pytest
 
 from tests.golden_configs import GOLDEN_CONFIGS, GOLDEN_DIR, analyze
+from tests.golden_grids import GOLDEN_GRIDS, GRIDS_FILE, digests, grid_of
 
 REL_TOL = 1e-9
 ROUNDOFF = 1e-12  # values below this (an M_W_av of 1e-16) are rounding noise
@@ -43,3 +45,12 @@ def test_report_matches_golden(name, tmp_path):
             assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ROUNDOFF), (pointer, got, want)
         else:
             assert got == want, (pointer, got, want)
+
+
+def test_grid_exports_match_golden_digests():
+    # sha256 of export_grid in both formats, recorded before export_grid
+    # was vectorized; exports are byte-identical, so every digest matches
+    golden = json.loads(GRIDS_FILE.read_text())
+    assert golden.keys() == GOLDEN_GRIDS.keys()
+    for name in GOLDEN_GRIDS:
+        assert digests(grid_of(name)) == golden[name], name
