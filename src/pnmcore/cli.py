@@ -180,6 +180,9 @@ def load_config(text_or_path: str, strict: bool = True, overrides=None) -> Analy
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise SchemaError("'tolerances' must be an object", "/tolerances")
+    scan_tol = _field(tol, "scan", 1e-10, float, "/tolerances")
+    if scan_tol < 0:
+        raise SchemaError("tolerances.scan must be non-negative", "/tolerances/scan")
     outputs = raw.get("outputs", ["report"])
     if not isinstance(outputs, list):
         raise SchemaError("'outputs' must be a list", "/outputs")
@@ -191,7 +194,7 @@ def load_config(text_or_path: str, strict: bool = True, overrides=None) -> Analy
         evolution_spec=raw["evolution"],
         horizon=horizon,
         grid_points=grid_points,
-        scan_tol=_field(tol, "scan", 1e-10, float, "/tolerances"),
+        scan_tol=scan_tol,
         outputs=tuple(outputs),
         seed=_field(raw, "seed", 0, int, ""),
     )
@@ -214,7 +217,6 @@ def run_report(cfg: AnalysisConfig) -> dict:
     validation = validate_spec(e, cfg.horizon)
     grid = scan_regions(e, cfg.horizon, cfg.grid_points, cfg.scan_tol)
     ct = characteristic_times(e, cfg.horizon, cfg.grid_points)
-    violations = verify_composition_rules(grid, samples=10_000, seed=cfg.seed)
     doc = {
         "tool_version": __version__,
         "seed": cfg.seed,
@@ -229,7 +231,7 @@ def run_report(cfg: AnalysisConfig) -> dict:
             "valid": validation.valid,
             "notes": list(validation.notes),
         },
-        "composition_rule_violations": len(violations),
+        "composition_rule_violations": verify_composition_rules(grid),
         "min_choi": dict(zip(("value", "s", "t"), grid.min_value())),
         "regularized_scan": grid.regularized,
     }
@@ -267,25 +269,32 @@ _JSON_CELL = '    {\n      "s": %s,\n      "t": %%s,\n      "value": %%s,\n     
 
 
 def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
-    """Serialize the scan grid, one %-format per row s_i.
+    """Serialize the scan grid.
 
     CSV: rows (s, t, value, class) in row-major order, %.11e (12 significant
     digits, nan/inf tokens).  JSON: the json.dumps(indent=2) layout, repr
     floats, null for a non-finite value."""
+    return "".join(_export_rows(grid, fmt))
+
+
+def _export_rows(grid: CptpGrid, fmt: str):
+    """export_grid as a stream of strings: the header, then one string per
+    scan row s_i made by a single %-format, then the trailer."""
     if fmt not in ("csv", "json"):
         raise SchemaError(f"unknown format {fmt!r}", "/format")
     n, times = grid.n, grid.times.tolist()
     names = np.array([CLASS_NAMES[c] for c in range(len(CLASS_NAMES))], dtype=object)
     if fmt == "csv":
         stamps = ["%.11e" % t for t in times]
-        parts, cell, row_sep = ["s,t,value,class\n"], "%s,%%s,%%.11e,%%s\n", ""
+        yield "s,t,value,class\n"
+        cell, lead, row_sep = "%s,%%s,%%.11e,%%s\n", "", ""
     else:
         if not np.all(np.isfinite(grid.times)):
             raise ValueError("Out of range float values are not JSON compliant")
         stamps = [repr(t) for t in times]
         dump = lambda x: json.dumps(x, allow_nan=False)
-        parts = [_JSON_HEAD % (dump(grid.horizon), dump(n), dump(grid.regularized)), "\n"]
-        cell, row_sep = _JSON_CELL, ",\n"
+        yield _JSON_HEAD % (dump(grid.horizon), dump(n), dump(grid.regularized))
+        cell, lead, row_sep = _JSON_CELL, "\n", ",\n"
     cells = np.empty((n, 3), dtype=object)  # (t, value, class) of row i in cells[i:]
     cells[:, 0] = stamps
     for i in range(n):
@@ -294,18 +303,16 @@ def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
         row[:, 2] = names[grid.cls[i, i:]]
         if fmt == "json":
             row[~np.isfinite(value), 1] = "null"
-        parts.append(row_sep.join([cell % stamps[i]] * (n - i)) % tuple(row.ravel()))
-        parts.append(row_sep)
+        yield (row_sep if i else lead) + row_sep.join([cell % stamps[i]] * (n - i)) % tuple(row.ravel())
     if fmt == "json":
-        parts[-1] = "\n  ]\n}\n" if n else "]\n}\n"
-    return "".join(parts)
+        yield "\n  ]\n}\n" if n else "]\n}\n"
 
 
-def _write(text: str, out: Optional[str]):
-    """Write text in 1 MiB slices, so a grid export is never encoded whole."""
+def _write(chunks, out: Optional[str]):
+    """Write an iterable of strings one at a time, so a grid export is never
+    held whole."""
     with open(out, "w", encoding="utf-8", newline="\n") if out else nullcontext(sys.stdout) as fh:
-        for k in range(0, len(text), 1 << 20):
-            fh.write(text[k : k + (1 << 20)])
+        fh.writelines(chunks)
 
 
 def _json_doc(doc) -> str:
@@ -352,17 +359,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "scan":
             grid = scan_regions(cfg.evolution, cfg.horizon, cfg.grid_points, cfg.scan_tol)
-            _write(export_grid(grid, args.format), args.out)
+            _write(_export_rows(grid, args.format), args.out)
             return 0
         if args.command == "analyze":
-            _write(_json_doc(run_report(cfg)), args.out)
-            return 0
-        if args.command == "measures":
+            doc = run_report(cfg)
+        elif args.command == "measures":
             ct = characteristic_times(cfg.evolution, cfg.horizon, cfg.grid_points)
-            rep = measure_report(cfg.evolution, cfg.horizon, ct.T)
-            _write(_json_doc(_measures_dict(rep)), args.out)
-            return 0
-        if args.command == "core":
+            doc = _measures_dict(measure_report(cfg.evolution, cfg.horizon, ct.T))
+        elif args.command == "core":
             ct = characteristic_times(cfg.evolution, cfg.horizon, cfg.grid_points)
             if ct.classification != "NNM" or not math.isfinite(ct.T):
                 print(
@@ -377,12 +381,10 @@ def main(argv=None) -> int:
                 "core_times": _times_dict(ct.shifted()),
                 "core_measures": _measures_dict(measure_report(core, h, 0.0)),
             }
-            _write(_json_doc(doc), args.out)
-            return 0
-        if args.command == "eb":
+        else:  # eb
             t_eb = eb_time_qubit(cfg.evolution, cfg.horizon, cfg.grid_points)
-            _write(_json_doc({"eb_time": t_eb, "horizon": cfg.horizon}), args.out)
-            return 0
+            doc = {"eb_time": t_eb, "horizon": cfg.horizon}
+        _write([_json_doc(doc)], args.out)
     except PnmError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pnmcore as p
-from pnmcore.analysis import CLASS_NAMES, REFINE_XTOL
+from pnmcore.analysis import CLASS_NAMES, CPTP, NONCPTP, REFINE_XTOL, UNDEFINED, CptpGrid
 
 
 def test_scan_diagonal_is_cptp(catalog_grids):
@@ -166,12 +168,56 @@ def test_shifted_core_times(catalog):
 
 def test_composition_rules_hold(catalog_grids):
     for name, grid in catalog_grids.items():
-        violations = p.verify_composition_rules(grid, samples=10_000, seed=7)
-        assert violations == [], name
+        violations = p.verify_composition_rules(grid)
+        assert violations == 0, name
 
 
 def test_composition_rules_deterministic(catalog_grids):
     grid = catalog_grids["paper-example"]
-    a = p.verify_composition_rules(grid, samples=500, seed=3)
-    b = p.verify_composition_rules(grid, samples=500, seed=3)
+    a = p.verify_composition_rules(grid)
+    b = p.verify_composition_rules(grid)
     assert a == b
+
+
+def _brute_force_violations(cls):
+    """Rule (i) checked triple by triple: the reference for the path count."""
+    c = cls.tolist()
+    n = len(c)
+    return sum(
+        c[i][j] == CPTP and c[j][k] == CPTP and c[i][k] == NONCPTP
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+    )
+
+
+def _class_grid(cls):
+    n = len(cls)
+    value = np.where(cls == NONCPTP, -1.0, 0.0)
+    return CptpGrid(1.0, n, np.linspace(0.0, 1.0, n), value, cls)
+
+
+def test_composition_rule_count_on_hand_built_grid():
+    cls = np.full((5, 5), CPTP, dtype=np.int8)
+    cls[np.tril_indices(5, -1)] = NONCPTP  # below the diagonal: ignored
+    cls[0, 4] = NONCPTP  # through j = 1 and j = 3
+    cls[2, 4] = UNDEFINED  # drops the path through j = 2
+    cls[1, 3] = NONCPTP  # through j = 2
+    assert p.verify_composition_rules(_class_grid(cls)) == 3
+    cls[1, 2] = UNDEFINED
+    assert p.verify_composition_rules(_class_grid(cls)) == 2
+    cls[:] = CPTP
+    assert p.verify_composition_rules(_class_grid(cls)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(16, 40),
+    weights=st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_composition_rule_count_matches_brute_force(n, weights, seed):
+    rng = np.random.default_rng(seed)
+    prob = np.array(weights) / sum(weights)
+    cls = rng.choice([CPTP, NONCPTP, UNDEFINED], (n, n), p=prob).astype(np.int8)
+    assert p.verify_composition_rules(_class_grid(cls)) == _brute_force_violations(cls)

@@ -303,6 +303,7 @@ def test_cli_eb(capsys):
         ('{"evolution":{"preset":"eternal"},"outputs":"report"}', "/outputs"),
         ('{"evolution":{"preset":"eternal"},"tolerances":{"scan":"x"}}', "/tolerances/scan"),
         ('{"evolution":{"type":"quasiEternal","alpha":"x","t0":1}}', "/evolution/alpha"),
+        ('{"evolution":{"preset":"eternal"},"tolerances":{"scan":-1}}', "/tolerances/scan"),
     ],
 )
 def test_bad_config_values_exit_1_with_pointer(config, pointer, capsys):

@@ -1,13 +1,16 @@
 """`pnmcore analyze` reports against the golden files in tests/golden/,
 recorded with the dense superoperator path before the array map-eigenvalue
-path replaced it (see tests/golden_configs.py), and `export_grid` output
-against the digests in tests/golden/grids.json (see tests/golden_grids.py)."""
+path replaced it (see tests/golden_configs.py), and `export_grid` output and
+the files `pnmcore scan` streams against the digests in
+tests/golden/grids.json (see tests/golden_grids.py)."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from pnmcore.cli import main
 from tests.golden_configs import GOLDEN_CONFIGS, GOLDEN_DIR, analyze
 from tests.golden_grids import GOLDEN_GRIDS, GRIDS_FILE, digests, grid_of
 
@@ -54,3 +57,17 @@ def test_grid_exports_match_golden_digests():
     assert golden.keys() == GOLDEN_GRIDS.keys()
     for name in GOLDEN_GRIDS:
         assert digests(grid_of(name)) == golden[name], name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_scan_streams_golden_bytes(fmt, tmp_path, capsys):
+    # `scan` writes the export row by row, to --out or to stdout
+    golden = json.loads(GRIDS_FILE.read_text())
+    for name, (preset, horizon, n) in GOLDEN_GRIDS.items():
+        config = json.dumps({"evolution": {"preset": preset}, "horizon": horizon, "grid_points": n})
+        out = tmp_path / f"{name}.{fmt}"
+        assert main(["scan", "--config", config, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[name][fmt], name
+        assert main(["scan", "--config", config, "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[name][fmt], name
