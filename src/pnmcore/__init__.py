@@ -14,7 +14,6 @@ from .analysis import (
     compute_tau_lambda,
     extract_pnm_core,
     scan_regions,
-    shifted_core_times,
     verify_composition_rules,
 )
 from .errors import (
@@ -52,7 +51,7 @@ from .evolutions import (
     t0_alpha,
     validate_spec,
 )
-from .exprparse import ScalarFn, eval_expr, numeric_derivative, parse_expr
+from .exprparse import ScalarFn, numeric_derivative, parse_expr
 from .linalg import (
     Superoperator,
     apply_map,

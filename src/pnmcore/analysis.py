@@ -136,10 +136,6 @@ class CharTimes:
         )
 
 
-def shifted_core_times(ct: CharTimes) -> CharTimes:
-    return ct.shifted()
-
-
 def _infinitesimal_non_cptp(e: Evolution, t: float, step: float) -> bool:
     """Classifier for the infinitesimal intermediate map at t."""
     if isinstance(e, Depolarizing):

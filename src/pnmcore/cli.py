@@ -78,7 +78,6 @@ class AnalysisConfig:
     horizon: float = DEFAULT_HORIZON
     grid_points: int = DEFAULT_GRID
     scan_tol: float = 1e-10
-    outputs: tuple = ("report",)
     seed: int = 0
 
 
@@ -195,7 +194,6 @@ def load_config(text_or_path: str, strict: bool = True, overrides=None) -> Analy
         horizon=horizon,
         grid_points=grid_points,
         scan_tol=scan_tol,
-        outputs=tuple(outputs),
         seed=_field(raw, "seed", 0, int, ""),
     )
 

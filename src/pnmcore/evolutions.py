@@ -44,17 +44,11 @@ def quasi_eternal_probs(alpha: float, t0: float, s: float, t: float):
     between s and t; s = 0 gives the dynamical map. p_z may be negative."""
     dt = t - s
     pxy = (1.0 - math.exp(-2.0 * alpha * dt)) / 4.0
-    cr = _cosh_ratio_pow(t - t0, s - t0, alpha)
+    # (cosh(t - t0) / cosh(s - t0))^alpha, in log space to survive large arguments
+    cr = math.exp(alpha * (_log_cosh(t - t0) - _log_cosh(s - t0)))
     pz = (1.0 + math.exp(-2.0 * alpha * dt) - 2.0 * math.exp(-alpha * dt) * cr) / 4.0
     p0 = 1.0 - 2.0 * pxy - pz
     return (p0, pxy, pxy, pz)
-
-
-def _cosh_ratio_pow(a: float, b: float, alpha: float) -> float:
-    # (cosh a / cosh b)^alpha, computed in log space to survive large args
-    la = abs(a) + math.log1p(math.exp(-2 * abs(a))) - math.log(2.0)
-    lb = abs(b) + math.log1p(math.exp(-2 * abs(b))) - math.log(2.0)
-    return math.exp(alpha * (la - lb))
 
 
 def pauli_probs_from_eigs(lx: float, ly: float, lz: float):
@@ -108,6 +102,10 @@ class Evolution:
 
     def rate_min(self, t: float) -> Optional[float]:
         """min_i gamma_i(t) for rate-driven families, else None."""
+        return None
+
+    def rates(self, ts) -> Optional[np.ndarray]:
+        """gamma_i(ts), shape (..., 3), for families given by rate expressions, else None."""
         return None
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
@@ -170,6 +168,12 @@ class PauliDiagonal(Evolution):
     def map_eigenvalues(self, ts) -> np.ndarray:
         raise NotImplementedError
 
+    def log_map_eigenvalues(self, ts) -> np.ndarray:
+        """log |lambda(ts)|, which families with exponential eigenvalues
+        give in closed form, so it does not underflow."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.map_eigenvalues(ts)))
+
     def dynamical_eigenvalues(self, ts) -> np.ndarray:
         """map_eigenvalues, raising wherever dynamical_map would."""
         return self.map_eigenvalues(ts)
@@ -228,6 +232,9 @@ class PauliProbs(PauliDiagonal):
             raise CPTPViolation(f"Pauli probabilities negative at t={np.asarray(ts)[bad].flat[0]}")
         return self.map_eigenvalues(ts)
 
+    def non_bijective_time(self, horizon: float) -> Optional[float]:
+        return find_first_zero(lambda ts: np.prod(self.map_eigenvalues(ts), axis=-1), horizon)
+
 
 @dataclass
 class PauliRates(PauliDiagonal):
@@ -247,14 +254,20 @@ class PauliRates(PauliDiagonal):
         self._integrals = tuple(CumulativeIntegral(g) for g in (self.g_x, self.g_y, self.g_z))
 
     def map_eigenvalues(self, ts) -> np.ndarray:
+        return np.exp(self.log_map_eigenvalues(ts))
+
+    def log_map_eigenvalues(self, ts) -> np.ndarray:
         ix, iy, iz = (integral(ts) for integral in self._integrals)
-        return np.stack(
-            [np.exp(-2.0 * (iy + iz)), np.exp(-2.0 * (ix + iz)), np.exp(-2.0 * (ix + iy))], axis=-1
-        )
+        return np.stack([-2.0 * (iy + iz), -2.0 * (ix + iz), -2.0 * (ix + iy)], axis=-1)
+
+    def rates(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        fns = (self.g_x, self.g_y, self.g_z)
+        g = np.stack([np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape) for fn in fns], -1)
+        return np.where(np.isfinite(g), g, 0.0)
 
     def rate_min(self, t: float) -> float:
-        rates = np.array([float(g(t)) for g in (self.g_x, self.g_y, self.g_z)])
-        return float(np.min(np.where(np.isfinite(rates), rates, 0.0)))
+        return float(np.min(self.rates(t)))
 
 
 def pauli_from_rates(g_x: ScalarFn, g_y: ScalarFn, g_z: ScalarFn, t: float):
@@ -301,6 +314,11 @@ class QuasiEternal(PauliDiagonal):
         lxy = e1 * np.exp(self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0)))
         return np.stack([lxy, lxy, e1 * e1], axis=-1)
 
+    def log_map_eigenvalues(self, ts) -> np.ndarray:
+        t = np.maximum(0.0, np.asarray(ts, dtype=float) - self.t_unitary)
+        lxy = -self.alpha * t + self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0))
+        return np.stack([lxy, lxy, -2.0 * self.alpha * t], axis=-1)
+
     def rate_min(self, t: float) -> float:
         if t < self.t_unitary:
             return 0.0
@@ -339,8 +357,12 @@ class ShiftedEvolution(Evolution):
     def rate_min(self, t: float) -> Optional[float]:
         return self.parent.rate_min(t + self.shift)
 
-    def is_unitary_at(self, t: float) -> bool:
-        return linalg.is_unitary_map(self.dynamical_map(t), 1e-9)
+    def rates(self, ts) -> Optional[np.ndarray]:
+        return self.parent.rates(np.add(ts, self.shift))
+
+    def non_bijective_time(self, horizon: float) -> Optional[float]:
+        t = self.parent.non_bijective_time(horizon + self.shift)
+        return t - self.shift if t is not None and t > self.shift else None
 
 
 class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
@@ -351,7 +373,10 @@ class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
     def map_eigenvalues(self, ts) -> np.ndarray:
         return self.parent.intermediate_eigenvalues(self.shift, np.add(ts, self.shift))
 
-    is_unitary_at = PauliDiagonal.is_unitary_at
+    def log_map_eigenvalues(self, ts) -> np.ndarray:
+        self.map_eigenvalues(0.0)  # raises SingularMap where lambda(shift) vanishes
+        at_shift = self.parent.log_map_eigenvalues(self.shift)
+        return self.parent.log_map_eigenvalues(np.add(ts, self.shift)) - at_shift
 
 
 def _log_cosh(x):
@@ -366,35 +391,31 @@ def quasi_eternal_prob_grid(e: QuasiEternal, s, t):
     return p0, pxy, pz
 
 
-def find_first_zero(f: ScalarFn, horizon: float, n: int = 2048) -> Optional[float]:
-    """Earliest root of f in (0, horizon], by sign scan plus bisection."""
+def find_first_zero(f, horizon: float, n: int = 2048) -> Optional[float]:
+    """Earliest root of f in (0, horizon], by sign scan plus bisection; f
+    takes a float or an array of times."""
     ts = np.linspace(0.0, horizon, n)
     vals = np.asarray(f(ts), dtype=float)
-    for i in range(1, len(ts)):
-        a, b = vals[i - 1], vals[i]
-        if not (math.isfinite(a) and math.isfinite(b)):
-            continue
-        if b == 0.0:
+    a, b = vals[:-1], vals[1:]  # step i - 1 -> i
+    c = np.append(vals[2:], np.nan)  # the sample after b
+    finite = np.isfinite(a) & np.isfinite(b)
+    cross = finite & (((a > 0) & (b < 0)) | ((a < 0) & (b > 0)))
+    # tangential zero: a near-zero local minimum of |f| refined to
+    # confirm it actually touches 0 (a quadratic touch leaves the
+    # nearest grid sample at O(step^2), not at machine zero)
+    touch = finite & (np.abs(b) < 1e-4) & (np.abs(c) >= np.abs(b)) & (np.abs(a) >= np.abs(b))
+    for i in np.flatnonzero(cross | touch | (finite & (b == 0.0))) + 1:
+        if vals[i] == 0.0:
             return float(ts[i])
-        if a > 0 > b or a < 0 < b:
+        if cross[i - 1]:
             return bisect_root(lambda x: float(f(x)), float(ts[i - 1]), float(ts[i]), xtol=1e-9)
-        # tangential zero: a near-zero local minimum of |f| refined to
-        # confirm it actually touches 0 (a quadratic touch leaves the
-        # nearest grid sample at O(step^2), not at machine zero)
-        if (
-            abs(b) < 1e-4
-            and i + 1 < len(ts)
-            and abs(vals[i + 1]) >= abs(b)
-            and abs(a) >= abs(b)
-        ):
-            lo, hi = float(ts[i - 1]), float(ts[i + 1])
-            x = _refine_min_abs(f, lo, hi)
-            if abs(float(f(x))) <= 1e-10:
-                return x
+        x = _refine_min_abs(f, float(ts[i - 1]), float(ts[i + 1]))
+        if abs(float(f(x))) <= 1e-10:
+            return x
     return None
 
 
-def _refine_min_abs(f: ScalarFn, lo: float, hi: float) -> float:
+def _refine_min_abs(f, lo: float, hi: float) -> float:
     for _ in range(80):
         third = (hi - lo) / 3.0
         a, b = lo + third, hi - third
@@ -424,11 +445,7 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
     if isinstance(evolution, Depolarizing):
         vals = np.asarray(evolution.f(ts), dtype=float)
         f0_ok = bool(abs(vals[0] - 1.0) <= 1e-9)
-        bad = [
-            (float(t), float(v))
-            for t, v in zip(ts, vals)
-            if not math.isfinite(v) or v < -1e-9 or v > 1.0 + 1e-9
-        ]
+        bad = [(float(t), float(v)) for t, v in zip(ts, vals) if not -1e-9 <= v <= 1.0 + 1e-9]
         t_nb = evolution.non_bijective_time(horizon)
         cptp_ok = not bad and f0_ok
         if t_nb is not None:

@@ -8,7 +8,9 @@ Grammar (one variable ``t``, fixed function set):
     power  := atom ('^' unary)?          # right-associative
     atom   := number | 't' | name '(' expr ')' | '(' expr ')'
 
-Unary minus binds looser than '^', so "-2^2" evaluates to -4.
+Unary minus binds looser than '^', so "-2^2" evaluates to -4.  Expressions
+nest at most MAX_DEPTH levels deep (groups, call arguments, unary minus
+signs, exponents), and their trees are at most MAX_DEPTH levels deep.
 Evaluation is numpy-based and works elementwise on arrays of t values.
 """
 
@@ -35,6 +37,7 @@ FUNCTIONS = {
 }
 
 DERIV_STEP = 1e-6
+MAX_DEPTH = 200  # nesting levels of an expression, and levels of its tree
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,12 @@ ExprAst = Union[Number, Variable, Unary, Binary, Call]
 
 
 class _Parser:
+    """Recursive descent: three frames per nesting level, MAX_DEPTH levels."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ExprSyntaxError(message, self.pos)
@@ -95,52 +101,62 @@ class _Parser:
             if self.peek() == ")":
                 raise UnbalancedParens("unmatched ')'", self.pos)
             self.error(f"unexpected character {self.peek()!r}")
+        # evaluation recurses once per tree level; long + - * / chains deepen the tree too
+        level, depth, fields = [node], 0, ("operand", "left", "right", "argument")
+        while level:
+            level, depth = [getattr(n, k) for n in level for k in fields if hasattr(n, k)], depth + 1
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek() and self.peek() in "+-":
-            op = self.take()
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self) -> ExprAst:
-        node = self.unary()
-        while self.peek() and self.peek() in "*/":
-            op = self.take()
-            node = Binary(op, node, self.unary())
-        return node
+        # term (('+' | '-') term)*, term := unary (('*' | '/') unary)*, both left-associative
+        total, add = None, ""
+        while True:
+            node = self.unary()
+            while self.peek() and self.peek() in "*/":
+                op = self.take()
+                node = Binary(op, node, self.unary())
+            total = node if total is None else Binary(add, total, node)
+            if not (self.peek() and self.peek() in "+-"):
+                return total
+            add = self.take()
 
     def unary(self) -> ExprAst:
+        # '-' unary | atom ('^' unary)?
+        if self.depth >= MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
         if self.peek() == "-":
             self.take()
-            return Unary(self.unary())
-        return self.power()
-
-    def power(self) -> ExprAst:
-        node = self.atom()
-        if self.peek() == "^":
-            self.take()
-            node = Binary("^", node, self.unary())
+            node = Unary(self.unary())
+        else:
+            node = self.atom()
+            if self.peek() == "^":
+                self.take()
+                node = Binary("^", node, self.unary())
+        self.depth -= 1
         return node
 
     def atom(self) -> ExprAst:
         c = self.peek()
-        if c == "(":
-            start = self.pos
-            self.take()
-            node = self.expr()
-            if self.peek() != ")":
-                raise UnbalancedParens("missing ')'", start)
-            self.take()
-            return node
+        start, function = self.pos, None
         if c.isdigit() or c == ".":
             return self.number()
         if c.isalpha():
-            return self.name()
-        if not c:
-            self.error("unexpected end of expression")
-        self.error(f"unexpected character {c!r}")
+            function = self.name()
+            if function is None:
+                return Variable()
+        elif c != "(":
+            if not c:
+                self.error("unexpected end of expression")
+            self.error(f"unexpected character {c!r}")
+        self.take()
+        node = self.expr()
+        if self.peek() != ")":
+            raise UnbalancedParens("missing ')'", start)
+        self.take()
+        return node if function is None else Call(function, node)
 
     def number(self) -> Number:
         self.skip_ws()
@@ -163,26 +179,22 @@ class _Parser:
         except ValueError:
             raise ExprSyntaxError(f"bad number {self.text[start:self.pos]!r}", start)
 
-    def name(self) -> ExprAst:
+    def name(self):
+        """None for the variable t, else a function name followed by '('."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         word = self.text[start : self.pos]
         if word == "t":
-            return Variable()
+            return None
         if self.peek() != "(":
             if word in FUNCTIONS:
                 raise ExprSyntaxError(f"function {word!r} needs an argument", start)
             raise UnknownFunction(f"unknown name {word!r}", start)
         if word not in FUNCTIONS:
             raise UnknownFunction(f"unknown function {word!r}", start)
-        self.take()
-        arg = self.expr()
-        if self.peek() != ")":
-            raise UnbalancedParens("missing ')'", start)
-        self.take()
-        return Call(word, arg)
+        return word
 
 
 def parse_expr(text: str) -> ExprAst:
@@ -266,13 +278,9 @@ def _substitute(node: ExprAst, replacement: ExprAst) -> ExprAst:
     return node
 
 
-def eval_expr(f: ScalarFn, t: float) -> float:
-    return float(eval_ast(f.ast, float(t)))
-
-
 def numeric_derivative(f: ScalarFn, t: float, h: float = DERIV_STEP) -> float:
     """Central difference, O(h^2) error."""
-    d = (eval_expr(f, t + h) - eval_expr(f, t - h)) / (2 * h)
+    d = (float(f(t + h)) - float(f(t - h))) / (2 * h)
     if not math.isfinite(d):
         raise NonFiniteResult(f"derivative not finite at t={t}")
     return d

@@ -25,12 +25,16 @@ from .errors import (
     UnsupportedDimension,
     ZeroDifference,
 )
-from .evolutions import Depolarizing, Evolution, PauliDiagonal, QuasiEternal, pauli_probs
-from .exprparse import ScalarFn, numeric_derivative
-from .numerics import bisect_boundary, bisect_root
+from .evolutions import F_ZERO_TOL, Depolarizing, Evolution, PauliDiagonal, pauli_probs
+from .exprparse import ScalarFn
+from .numerics import bisect_boundary
 
 HERM_INPUT_TOL = 1e-8
 STATE_TOL = 1e-8
+DETECT_POINTS = 16384  # rhp turning points closer than horizon / DETECT_POINTS can be missed
+RATE_POINTS = 32768  # rate signs are cheap to sample: a finer grid for sin(1/t)-like rates
+ZOOM_POINTS, ZOOM_LEVELS = 33, 4  # an extremum is refined to 2 steps / 16**4
+ROOT_STEPS = 12  # bisection steps of a rate sign change: 2**-12 of a grid step
 
 
 @dataclass(frozen=True)
@@ -134,33 +138,9 @@ def integrate_flux_measures(series: FluxSeries):
 
 
 def revivals_delta(f: ScalarFn, horizon: float, n: int = 2000) -> float:
-    """Total increase of f over all maximal intervals of growth, with the
-    interval endpoints refined by bisection on the derivative sign."""
-    times = np.linspace(0.0, horizon, n)
-    fv = np.asarray(f(times), dtype=float)
-    rising = np.diff(fv) > 0
-    # refine each slope sign flip to the derivative zero crossing
-    def refine(i: int) -> float:
-        lo, hi = float(times[max(i - 1, 0)]), float(times[min(i + 1, n - 1)])
-        g = lambda x: numeric_derivative(f, x)
-        if g(lo) * g(hi) < 0:
-            return bisect_root(g, lo, hi, xtol=1e-6)
-        return float(times[i])
-
-    total = 0.0
-    k = 0
-    while k < n - 1:
-        if not rising[k]:
-            k += 1
-            continue
-        j = k
-        while j < n - 1 and rising[j]:
-            j += 1
-        start = refine(k) if k > 0 else 0.0
-        end = refine(j) if j < n - 1 else horizon
-        total += f.eval_finite(end) - f.eval_finite(start)
-        k = j
-    return total
+    """Total increase of f over all maximal intervals of growth, between its
+    refined local extrema."""
+    return _total_decrease(lambda ts: -f(ts)[..., None], np.linspace(0.0, horizon, n))
 
 
 def depolarizing_measures(delta: float, f_at_T: float):
@@ -192,60 +172,85 @@ def _choi_trace_norm_excess(e: Evolution, s: float, t: float) -> float:
     return max(0.0, linalg.trace_norm(choi) - 1.0)
 
 
-def _pauli_step_excess(e: PauliDiagonal, times: np.ndarray) -> np.ndarray:
-    """Choi trace-norm excess of each grid-step intermediate map; nan where undefined."""
-    lam = e.map_eigenvalues(times)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = pauli_probs(lam[1:] / lam[:-1])
-    return sum(np.abs(p) for p in probs) - 1.0
+def _decrease(c: np.ndarray) -> float:
+    """Summed drops between consecutive rows of c; a nan step counts 0."""
+    return float(np.sum(np.fmax(c[:-1] - c[1:], 0.0)))
 
 
-def _rhp_once(e: Evolution, horizon: float, n: int) -> float:
-    times = np.linspace(0.0, horizon, n)
+def _rate_roots(e: Evolution, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sign changes of each rate column of g = e.rates(ts), bisected together."""
+    k, i = np.nonzero((g[:-1] < 0) != (g[1:] < 0))
+    lo, hi, neg = ts[k], ts[k + 1], g[k, i] < 0
+    for _ in range(ROOT_STEPS if len(k) else 0):
+        mid = 0.5 * (lo + hi)
+        left = (e.rates(mid)[np.arange(len(k)), i] < 0) == neg
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _total_decrease(c, ts: np.ndarray) -> float:
+    """Summed total decrease of the columns of c(ts) on [ts[0], ts[-1]]: the
+    drops between the grid points and the local extrema of c, each refined
+    by zooming in on the best sample."""
+    cv = c(ts)
+    d = np.diff(cv, axis=0, prepend=cv[:1], append=cv[-1:])  # flat beyond the ends
+    k, i = np.nonzero((np.sign(d[:-1]) != np.sign(d[1:])) & np.isfinite(d[:-1] + d[1:]))
+    sign = np.where((d[k, i] > 0) | (d[k + 1, i] < 0), 1.0, -1.0)  # +1: a maximum at ts[k]
+    lo, hi, rows = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, len(ts) - 1)], np.arange(len(k))
+    for _ in range(ZOOM_LEVELS):
+        s = np.linspace(lo, hi, ZOOM_POINTS, axis=-1)
+        v = c(s)
+        j = np.argmax(sign[:, None] * v[rows, :, i], axis=1)
+        lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, ZOOM_POINTS - 1)]
+    order = np.argsort(np.concatenate([ts, s[rows, j]]), kind="stable")
+    return _decrease(np.concatenate([cv, v[rows, j]])[order])
+
+
+def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
+    """Rivas-Huelga-Plenio measure, the integrated Choi trace-norm excess of
+    the infinitesimal intermediate maps, in closed form.
+
+    With the canonical rates gamma_i of a Pauli-diagonal family (Hall,
+    Cresser, Li, Andersson, PRA 89, 042120 (2014)) the excess of V_{t+dt,t}
+    is 2 sum_i max(-gamma_i, 0) dt, so RHP is twice the total decrease of
+    c_i = int gamma_i = lnlambda_i / 2 - sum_k lnlambda_k / 4; for a
+    depolarizing family it is 2(d^2 - 1)/d^2 times the total increase of
+    ln|f|.  The turning points of c are bracketed on one grid of
+    max(n, DETECT_POINTS) points, or from the sign of the rate expressions
+    on max(n, RATE_POINTS) points where the family has them, and refined;
+    between them the sum is exact.  inf where an eigenvalue rises out of a
+    zero (non_bijective_time).  Other families get the excess summed over n
+    grid steps, undefined steps skipped."""
     if isinstance(e, Depolarizing):
-        fv = np.asarray(e.f(times), dtype=float)
-        fs, ft = fv[:-1], fv[1:]
-        defined = np.abs(fs) > 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = ft / fs
-        k = e.dim**2 - 1
-        excess = (np.abs(1 + k * g) + k * np.abs(1 - g)) / (k + 1) - 1.0
-        return float(np.sum(np.clip(excess[defined], 0.0, None)))
-    if isinstance(e, PauliDiagonal):
-        excess = _pauli_step_excess(e, times)
-        return float(np.sum(np.clip(excess[np.isfinite(excess)], 0.0, None)))
-    total = 0.0
-    for s, t in zip(times[:-1], times[1:]):
-        try:
-            total += _choi_trace_norm_excess(e, float(s), float(t))
-        except UndefinedIntermediateMap:
-            continue
-    return total
-
-
-def rhp_measure(e: Evolution, horizon: float, n: int = 4000, drift_tol: float = 2e-5) -> float:
-    """Accumulated Choi trace-norm excess of grid-step intermediate maps,
-    with the step halved until the value drifts less than drift_tol and a
-    final Richardson extrapolation of the first-order step error.  Values
-    that keep growing under refinement diverge and report inf.  Undefined
-    steps are skipped."""
-    cheap = isinstance(e, (Depolarizing, QuasiEternal))
-    if not cheap:
-        n = min(n, 1000)
-    value = _rhp_once(e, horizon, n)
-    drift = math.inf
-    for _ in range(7 if cheap else 2):
-        n = 2 * n
-        refined = _rhp_once(e, horizon, n)
-        drift = refined - value
-        if abs(drift) < drift_tol:
-            return 2.0 * refined - value
-        value = refined
-    # a drift that never shrinks under halving marks a divergent integral
-    # (the characteristic function passes through zero)
-    if cheap and abs(drift) > 1e-2:
-        return math.inf
-    return value
+        weight = 2.0 * (1.0 - 1.0 / e.dim**2)
+        log_eig = lambda ts: np.log(np.abs(e.f(ts)))[..., None]
+        to_c = lambda logs: -logs
+    elif isinstance(e, PauliDiagonal):
+        weight, log_eig = 2.0, e.log_map_eigenvalues
+        to_c = lambda logs: logs / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
+    else:
+        total, times = 0.0, np.linspace(0.0, horizon, n)
+        for s, t in zip(times[:-1], times[1:]):
+            try:
+                total += _choi_trace_norm_excess(e, float(s), float(t))
+            except UndefinedIntermediateMap:
+                continue
+        return total
+    c = lambda ts: to_c(log_eig(ts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = np.linspace(0.0, horizon, max(n, RATE_POINTS))
+        g = e.rates(ts)
+        if g is not None:
+            # c is monotone between the sign changes of the rates
+            points = np.sort(np.concatenate([[0.0, horizon], _rate_roots(e, ts, g)]))
+            return weight * _decrease(c(points))
+        ts = np.linspace(0.0, horizon, max(n, DETECT_POINTS))
+        t_nb = e.non_bijective_time(horizon)
+        if t_nb is not None:
+            if np.any(np.sum(log_eig(ts[ts > t_nb]), axis=-1) > math.log(F_ZERO_TOL)):
+                return math.inf
+            ts = ts[ts < t_nb]
+        return weight * _total_decrease(c, ts)
 
 
 def _is_eb(e: Evolution, ts):
@@ -274,12 +279,9 @@ def eb_time_qubit(e: Evolution, horizon: float, n: int = 400) -> Optional[float]
     eb = _is_eb(e, times)
     if not eb[-1]:
         return None
-    # onset of the trailing all-EB suffix
-    idx = len(eb) - 1
-    while idx > 0 and eb[idx - 1]:
-        idx -= 1
-    if idx == 0:
+    if np.all(eb):
         return 0.0
+    idx = int(np.flatnonzero(~eb)[-1]) + 1  # onset of the trailing all-EB suffix
     return bisect_boundary(
         lambda x: not _is_eb(e, x),
         float(times[idx - 1]),

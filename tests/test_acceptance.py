@@ -161,7 +161,7 @@ def test_criterion_7_property_suites(catalog, catalog_grids):
         if math.isinf(parent):
             checks.append((f"RHP parent=core ({name})", int(math.isinf(child)), 1, None))
         else:
-            checks.append((f"RHP parent=core ({name})", child, parent, 1e-4))
+            checks.append((f"RHP parent=core ({name})", child, parent, 1e-9 * parent))
     for name in ("paper-example", "appendix-f"):
         e, horizon, ct = catalog[name]
         core = p.extract_pnm_core(e, ct.T)

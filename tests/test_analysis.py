@@ -156,7 +156,7 @@ def test_core_idempotent(catalog):
 
 def test_shifted_core_times(catalog):
     e, horizon, ct = catalog["paper-example"]
-    shifted = p.shifted_core_times(ct)
+    shifted = ct.shifted()
     assert shifted.T == 0.0
     assert abs(shifted.tau - (ct.tau - ct.T)) < 1e-12
     assert abs(shifted.t_star - (ct.t_star - ct.T)) < 1e-12

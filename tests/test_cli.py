@@ -339,3 +339,29 @@ def test_divergent_rhp_is_written_as_null(command, capsys):
     doc = _strict_json(capsys.readouterr().out)
     measures = {"analyze": doc.get("measures"), "measures": doc, "core": doc.get("core_measures")}
     assert measures[command]["rhp"] is None
+
+
+def test_eternal_rhp_at_long_horizon_is_finite(capsys):
+    # lambda_z = exp(-2t) underflows to 0 near t = 354; the measure works
+    # with log-eigenvalues, so it stays exact: ln cosh h
+    config = '{"evolution":{"preset":"eternal"},"horizon":400}'
+    assert main(["analyze", "--config", config]) == 0
+    rhp = _strict_json(capsys.readouterr().out)["measures"]["rhp"]
+    assert math.isclose(rhp, math.log(math.cosh(400.0)), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "(" * 3000 + "exp(-t)" + ")" * 3000,
+        "-" * 5000 + "exp(-t)",
+        "+".join(["exp(-t)"] * 3000),  # a flat chain makes a deep tree
+    ],
+)
+def test_deeply_nested_expression_exits_1_with_pointer(f, capsys):
+    config = json.dumps({"evolution": {"type": "depolarizing", "f": f}})
+    assert main(["analyze", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "nested deeper than 200 levels" in err
+    assert "(at /evolution/f)" in err
+    assert "Traceback" not in err

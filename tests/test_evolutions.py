@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore import linalg
 from pnmcore.errors import CPTPViolation, UndefinedIntermediateMap
+from pnmcore.evolutions import _refine_min_abs, find_first_zero
+from pnmcore.numerics import bisect_root
 
 
 def test_t0_alpha_values():
@@ -144,3 +148,52 @@ def test_presets_all_constructible():
 def test_make_preset_unknown():
     with pytest.raises(KeyError):
         p.make_preset("nope")
+
+
+def _reference_first_zero(f, horizon, n=2048):
+    """find_first_zero as a loop over the samples, as it was written before
+    the scan was vectorized."""
+    ts = np.linspace(0.0, horizon, n)
+    vals = np.asarray(f(ts), dtype=float)
+    for i in range(1, len(ts)):
+        a, b = vals[i - 1], vals[i]
+        if not (math.isfinite(a) and math.isfinite(b)):
+            continue
+        if b == 0.0:
+            return float(ts[i])
+        if a > 0 > b or a < 0 < b:
+            return bisect_root(lambda x: float(f(x)), float(ts[i - 1]), float(ts[i]), xtol=1e-9)
+        if abs(b) < 1e-4 and i + 1 < len(ts) and abs(vals[i + 1]) >= abs(b) and abs(a) >= abs(b):
+            x = _refine_min_abs(f, float(ts[i - 1]), float(ts[i + 1]))
+            if abs(float(f(x))) <= 1e-10:
+                return x
+    return None
+
+
+param = st.floats(0.05, 4.0).map(lambda x: round(x, 3))
+ZERO_TEMPLATES = [
+    "(t-{a})*(t-{b})",  # two sign changes, or a double root when a = b
+    "(t-{a})^2",  # a tangential zero
+    "(t-{a})^2+{c}*1e-9",  # a near-miss the refinement must reject
+    "(t-{a})^2*(t-{b})^2",
+    "sin({c}*t)^2",  # tangential zeros at k pi / c, and t = 0
+    "cos({c}*t)",
+    "1/(t-{a})",  # a sign change through a pole
+    "sqrt({a}-t)*(t-{b})",  # nan past a
+    "log(t)*(t-{a})",  # -inf at 0
+    "exp(-{c}*t)",
+    "0*t",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    template=st.sampled_from(ZERO_TEMPLATES),
+    a=param,
+    b=param,
+    c=param,
+    horizon=st.sampled_from([1.0, 2.5, 5.0]),
+)
+def test_find_first_zero_matches_sample_loop(template, a, b, c, horizon):
+    f = p.ScalarFn.parse(template.format(a=a, b=b, c=c))
+    assert find_first_zero(f, horizon) == _reference_first_zero(f, horizon)

@@ -9,11 +9,20 @@ from pnmcore.errors import (
     UnbalancedParens,
     UnknownFunction,
 )
-from pnmcore.exprparse import ScalarFn, eval_expr, numeric_derivative, parse_expr
+from pnmcore.exprparse import (
+    MAX_DEPTH,
+    Binary,
+    Number,
+    ScalarFn,
+    Unary,
+    Variable,
+    numeric_derivative,
+    parse_expr,
+)
 
 
 def ev(text, t=0.0):
-    return eval_expr(ScalarFn.parse(text), t)
+    return float(ScalarFn.parse(text)(t))
 
 
 def test_basic_arithmetic():
@@ -95,15 +104,46 @@ def test_shifted_normalized():
     f = ScalarFn.parse("exp(-t)")
     g = f.shifted_normalized(1.0, math.exp(-1.0))
     for t in (0.0, 0.5, 2.0):
-        assert np.isclose(eval_expr(g, t), math.exp(-(t + 1.0)) / math.exp(-1.0))
-    assert np.isclose(eval_expr(g, 0.0), 1.0)
+        assert np.isclose(float(g(t)), math.exp(-(t + 1.0)) / math.exp(-1.0))
+    assert np.isclose(float(g(0.0)), 1.0)
 
 
 def test_constant():
     f = ScalarFn.constant(3.5)
-    assert eval_expr(f, 123.0) == 3.5
+    assert float(f(123.0)) == 3.5
 
 
 def test_numeric_derivative():
     f = ScalarFn.parse("t^3")
     assert abs(numeric_derivative(f, 2.0) - 12.0) < 1e-5
+
+
+def test_tree_shape_of_mixed_precedence():
+    # + - and * / associate left, ^ right, unary minus binds looser than ^
+    two_to_t = Binary("^", Number(2.0), Variable())
+    assert parse_expr("1-2*t/3+-t^2^t-4") == Binary(
+        "-",
+        Binary(
+            "+",
+            Binary("-", Number(1.0), Binary("/", Binary("*", Number(2.0), Variable()), Number(3.0))),
+            Unary(Binary("^", Variable(), two_to_t)),
+        ),
+        Number(4.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: "(" * k + "t" + ")" * k,
+        lambda k: "-" * k + "t",
+        lambda k: "sin(" * k + "t" + ")" * k,
+        lambda k: "+".join(["t"] * k),
+    ],
+)
+def test_nesting_limit(build):
+    # one level below the limit parses and evaluates; deeper input is a syntax error
+    ok = MAX_DEPTH - 2
+    assert math.isfinite(float(ScalarFn.parse(build(ok))(0.5)))
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse_expr(build(20 * MAX_DEPTH))

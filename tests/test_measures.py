@@ -154,11 +154,70 @@ def test_amplification_degenerate():
 
 
 def test_rhp_markovian_zero():
-    assert p.rhp_measure(p.Depolarizing(p.ScalarFn.parse("exp(-t)")), 3.0) < 1e-6
+    assert p.rhp_measure(p.Depolarizing(p.ScalarFn.parse("exp(-t)")), 3.0) == 0.0
 
 
 def test_rhp_eternal_positive():
     assert p.rhp_measure(p.make_preset("eternal"), 3.0) > 0.1
+
+
+@pytest.mark.parametrize(
+    "e, horizon, shift",
+    [
+        (p.make_preset("eternal"), 3.0, 0.0),
+        (p.make_preset("quasi-eternal", alpha=0.1, t0=4.0), 40.0, 4.0),
+        (p.make_preset("unitary-prefix"), 5.0, 1.0),
+        (p.QuasiEternal(alpha=1.0, t0=0.8, t_unitary=0.5), 4.3, 1.3),
+    ],
+)
+def test_rhp_quasi_eternal_closed_form(e, horizon, shift):
+    # gamma_z = -(alpha/2) tanh(t - t_unitary - t0) is negative past t_unitary + t0
+    want = e.alpha * math.log(math.cosh(horizon - shift))
+    assert math.isclose(p.rhp_measure(e, horizon), want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "e, horizon, want, rel",
+    [
+        # the core starts 3e-5 before gamma_z turns negative: c_z peaks inside the first step
+        (
+            p.ShiftedPauli(p.QuasiEternal(alpha=1.0, t0=0.8, t_unitary=0.5), 1.3 - 3e-5),
+            3.0,
+            math.log(math.cosh(3.0 - 3e-5)),
+            1e-12,
+        ),
+        # gamma_z turns negative 1e-5 before the horizon, inside the last step
+        (p.QuasiEternal(alpha=1.0, t0=0.8), 0.8 + 1e-5, math.log(math.cosh(1e-5)), 1e-4),
+    ],
+)
+def test_rhp_turning_point_inside_an_end_step(e, horizon, want, rel):
+    assert math.isclose(p.rhp_measure(e, horizon), want, rel_tol=rel)
+
+
+def test_rhp_cos_rate_closed_form():
+    # gamma_z = 0.2 + 0.6 cos 3t is negative between the roots of cos 3t = -1/3
+    e = p.PauliRates(*(p.ScalarFn.parse(g) for g in ("0.5", "0.5", "0.2+0.6*cos(3*t)")))
+    h, w = 3.5, math.acos(-1.0 / 3.0)
+    roots = [r for k in range(3) for r in ((2 * k * math.pi + w) / 3, (2 * (k + 1) * math.pi - w) / 3)]
+    prim = lambda t: 0.2 * t + 0.2 * math.sin(3 * t)
+    want = -2.0 * sum(prim(min(b, h)) - prim(a) for a, b in zip(roots[::2], roots[1::2]) if a < h)
+    assert math.isclose(want, 0.8475024483867515, rel_tol=1e-12)
+    assert math.isclose(p.rhp_measure(e, h), want, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        p.make_preset("appendix-f"),  # f touches 0 at t = 0.5 and rises again
+        p.Depolarizing(p.ScalarFn.parse("exp(-0.4*t)*cos(3*t)")),
+        p.Depolarizing(p.ScalarFn.parse("exp(-0.4*t)*cos(3*t)"), dim=3),
+        # lambda_x = 1 - 2(p_y + p_z) = 1 - 0.8 t passes through 0 at t = 1.25
+        p.PauliProbs(*(p.ScalarFn.parse(x) for x in ("0", "0.2*t", "0.2*t"))),
+        p.ShiftedPauli(p.PauliProbs(*(p.ScalarFn.parse(x) for x in ("0", "0.2*t", "0.2*t"))), 0.5),
+    ],
+)
+def test_rhp_diverges_when_an_eigenvalue_rises_out_of_zero(e):
+    assert p.rhp_measure(e, 3.0) == math.inf
 
 
 def test_rhp_parent_core_equal(catalog):
@@ -166,7 +225,7 @@ def test_rhp_parent_core_equal(catalog):
     core = p.extract_pnm_core(e, ct.T)
     r1 = p.rhp_measure(e, horizon)
     r2 = p.rhp_measure(core, horizon - ct.T)
-    assert abs(r1 - r2) < 1e-4
+    assert math.isclose(r1, r2, rel_tol=1e-9)
 
 
 def test_eb_time_depolarizing_exponential():

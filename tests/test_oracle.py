@@ -1,5 +1,7 @@
 """The array map-eigenvalue path of the Pauli-diagonal families against the
-dense superoperator path (linalg.py), on random families, CP and not."""
+dense superoperator path (linalg.py), on random families, CP and not; and the
+closed-form RHP measure against the grid-step sum of Choi trace-norm
+excesses it replaced."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 import pnmcore as p
 from pnmcore import linalg
 from pnmcore.errors import CPTPViolation, DomainError, PnmError, SingularMap
-from pnmcore.measures import _choi_trace_norm_excess, _is_eb, _pauli_step_excess
+from pnmcore.evolutions import pauli_probs
+from pnmcore.measures import _choi_trace_norm_excess, _is_eb
 
 HORIZON, N = 3.0, 40
 coef = st.floats(-0.4, 0.4).map(lambda x: round(x, 4))
@@ -56,6 +59,32 @@ def _outcome(fn):
         return None, type(exc)
 
 
+def _pauli_step_excess(e, times):
+    """Choi trace-norm excess of each grid-step intermediate map; nan where undefined."""
+    lam = e.map_eigenvalues(times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = pauli_probs(lam[1:] / lam[:-1])
+    return sum(np.abs(q) for q in probs) - 1.0
+
+
+def _step_sum(e, horizon, n):
+    """The RHP measure as the Choi trace-norm excess summed over n - 1 grid
+    steps, undefined steps skipped; it converges to the closed form at first
+    order in the step."""
+    times = np.linspace(0.0, horizon, n)
+    if isinstance(e, p.Depolarizing):
+        fv = np.asarray(e.f(times), dtype=float)
+        fs, ft = fv[:-1], fv[1:]
+        defined = np.abs(fs) > 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = ft / fs
+        k = e.dim**2 - 1
+        excess = (np.abs(1 + k * g) + k * np.abs(1 - g)) / (k + 1) - 1.0
+        return float(np.sum(np.clip(excess[defined], 0.0, None)))
+    excess = _pauli_step_excess(e, times)
+    return float(np.sum(np.clip(excess[np.isfinite(excess)], 0.0, None)))
+
+
 def _dense_W(e, pair, times):
     return np.array([p.distinguishability(p.evolve_pair(e, pair, float(t))) for t in times])
 
@@ -84,6 +113,17 @@ def test_step_choi_excess_matches_dense_trace_norm(e):
         else:
             # the dense path refuses V_{t,s} only where lambda(s) vanishes
             assert err is SingularMap
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=pauli_families())
+def test_log_map_eigenvalues_match_map_eigenvalues(e):
+    times = np.linspace(0.0, HORIZON, N)
+    lam, err = _outcome(lambda: np.abs(e.map_eigenvalues(times)))
+    logs, log_err = _outcome(lambda: e.log_map_eigenvalues(times))
+    assert err is log_err
+    if err is None:
+        assert np.allclose(np.exp(logs), lam, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,6 +180,8 @@ def test_shifted_core_over_singular_parent_raises_singular_map_on_both_paths():
         p.flux_series(core, pair, HORIZON, N)
     with pytest.raises(SingularMap):
         p.evolve_pair(core, pair, 0.5)
+    with pytest.raises(SingularMap):
+        p.rhp_measure(core, HORIZON)
 
 
 def test_extracted_pauli_cores_take_the_array_path():
@@ -149,3 +191,41 @@ def test_extracted_pauli_cores_take_the_array_path():
     lam = core.map_eigenvalues(np.array([0.0, 0.7]))
     assert np.allclose(lam[0], 1.0)
     assert np.allclose(lam[1], e.map_eigenvalues(1.14) / e.map_eigenvalues(0.44))
+
+
+small = st.floats(-0.1, 0.1).map(lambda x: round(x, 4))
+
+
+@st.composite
+def invertible_families(draw):
+    """Random depolarizing (d = 2, 3) and Pauli families whose eigenvalues
+    never vanish, so their RHP measure is finite."""
+    kind = draw(st.sampled_from(["depolarizing", "probs", "rates", "quasi"]))
+    if kind == "depolarizing":
+        a, b, w = draw(positive), draw(st.floats(0.0, 0.9)), draw(positive)
+        f = f"exp(-{a}*t)*(1+{b:.4f}*cos({w}*t))/(1+{b:.4f})"
+        return p.Depolarizing(p.ScalarFn.parse(f), dim=draw(st.sampled_from([2, 3])))
+    if kind == "probs":
+        # |p_i| <= 0.2 keeps every lambda_i = 1 - 2(p_j + p_k) >= 0.2
+        exprs = [
+            f"{draw(small)}*(1-exp(-{draw(positive)}*t))+{draw(small)}*sin({draw(positive)}*t)^2"
+            for _ in range(3)
+        ]
+        return p.PauliProbs(*map(p.ScalarFn.parse, exprs))
+    if kind == "rates":
+        exprs = [f"{draw(coef)}+{draw(coef)}*cos({draw(positive)}*t)" for _ in range(3)]
+        return p.PauliRates(*map(p.ScalarFn.parse, exprs))
+    alpha = draw(positive)
+    return p.QuasiEternal(
+        alpha=alpha,
+        t0=p.t0_alpha(alpha) + draw(st.floats(0.0, 1.0)),
+        t_unitary=draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=invertible_families())
+def test_closed_form_rhp_matches_richardson_step_sum(e):
+    n = 40000
+    richardson = 2.0 * _step_sum(e, HORIZON, 2 * n) - _step_sum(e, HORIZON, n)
+    assert abs(p.rhp_measure(e, HORIZON) - richardson) < 1e-6

@@ -106,14 +106,14 @@ def test_quasi_eternal_probs_normalized(alpha, dt0, s, dt):
 def test_parser_matches_python_semantics(a, b, c, t):
     text = f"({a}) + ({b})*t - ({c})^2 / ({c})"
     expected = a + b * t - c**2 / c
-    got = p.eval_expr(p.ScalarFn.parse(text), t)
+    got = float(p.ScalarFn.parse(text)(t))
     assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(x=st.floats(0.1, 4.0), y=st.floats(0.1, 3.0))
 def test_parser_power_tower(x, y):
-    got = p.eval_expr(p.ScalarFn.parse(f"({x})^t^({y})"), 1.5)
+    got = float(p.ScalarFn.parse(f"({x})^t^({y})")(1.5))
     assert math.isclose(got, x ** (1.5**y), rel_tol=1e-12)
 
 
@@ -172,4 +172,4 @@ def test_rhp_invariant_under_core_extraction(name, catalog):
     if math.isinf(parent):
         assert math.isinf(child)
     else:
-        assert abs(parent - child) < 1e-4
+        assert math.isclose(parent, child, rel_tol=1e-9)
