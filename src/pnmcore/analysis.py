@@ -31,6 +31,7 @@ from .numerics import bisect_boundary, bisect_root
 
 SCAN_TOL = 1e-10
 REFINE_XTOL = 1e-4
+SCAN_BLOCK = 64  # rows per Pauli scan block: bounds its temporaries to a few MB
 
 CPTP, NONCPTP, UNDEFINED = 0, 1, 2
 CLASS_NAMES = {CPTP: "CPTP", NONCPTP: "NonCPTP", UNDEFINED: "Undefined"}
@@ -64,49 +65,44 @@ def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_T
     if horizon <= 0 or n < 16:
         raise ValueError("need horizon > 0 and n >= 16")
     times = np.linspace(0.0, horizon, n)
-    value = np.full((n, n), np.nan)
-    cls = np.full((n, n), CPTP, dtype=np.int8)
-    upper = np.triu_indices(n)
+    value = np.full((n, n), np.nan)  # unwritten cells stay NaN
+    undefined = np.zeros((n, n), dtype=bool)
     regularized = False
 
     if isinstance(e, Depolarizing):
         fv = np.asarray(e.f(times), dtype=float)
-        t_nb = e.non_bijective_time(horizon)
-        fs = fv[:, None]
-        ft = fv[None, :]
-        if t_nb is not None:
+        fs, ft = fv[:, None], fv[None, :]
+        if e.non_bijective_time(horizon) is not None:
             regularized = True
-            val = (fs - ft) / e.dim**2
-            undefined = np.broadcast_to(np.abs(fs) <= 1e-9, val.shape)
+            np.divide(np.subtract(fs, ft, out=value), e.dim**2, out=value)
+            undefined = np.broadcast_to(np.abs(fs) <= 1e-9, value.shape)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = (1.0 - ft / fs) / e.dim**2
-            undefined = np.zeros_like(val, dtype=bool)
+                np.divide(ft, fs, out=value)
+                np.divide(np.subtract(1.0, value, out=value), e.dim**2, out=value)
     elif isinstance(e, PauliDiagonal):
         eig = e.map_eigenvalues(times)  # (n, 3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # eig[None, j] / eig[i, None] = lambda(t_j) / lambda(t_i)
-            val = pauli_min_prob(eig[None, :, :] / eig[:, None, :])
-        undefined = ~np.isfinite(val)
+        # overflow too: a block's cells below the diagonal are discarded
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i0 in range(0, n, SCAN_BLOCK):
+                # rows i0:i1, columns j >= i0: lambda(t_j) / lambda(t_i)
+                rows = slice(i0, i0 + SCAN_BLOCK)
+                value[rows, i0:] = pauli_min_prob(eig[None, i0:] / eig[rows, None])
+        undefined = ~np.isfinite(value)
     else:
-        val = np.full((n, n), np.nan)
-        undefined = np.zeros((n, n), dtype=bool)
         for i in range(n):
             for j in range(i, n):
                 try:
-                    val[i, j] = e.intermediate_min_choi(float(times[i]), float(times[j]))
+                    value[i, j] = e.intermediate_min_choi(float(times[i]), float(times[j]))
                 except UndefinedIntermediateMap:
                     undefined[i, j] = True
-                    val[i, j] = np.nan
 
-    value[upper] = np.asarray(val, dtype=float)[upper]
-    np.fill_diagonal(value, 0.0)
-    cls[value < -tol] = NONCPTP
-    und = np.zeros((n, n), dtype=bool)
-    und[upper] = undefined[upper]
-    cls[und & ~(value < -tol)] = UNDEFINED
-    lower = np.tril_indices(n, -1)
+    lower = np.tri(n, k=-1, dtype=bool)
     value[lower] = np.nan
+    np.fill_diagonal(value, 0.0)
+    cls = np.full((n, n), CPTP, dtype=np.int8)
+    cls[undefined & ~lower] = UNDEFINED
+    cls[value < -tol] = NONCPTP  # a negative cell is NonCPTP even if undefined
     return CptpGrid(horizon, n, times, value, cls, regularized, tol)
 
 

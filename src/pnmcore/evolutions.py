@@ -441,16 +441,15 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
     if horizon <= 0 or n < 2:
         raise ValueError("need horizon > 0 and n >= 2")
     ts = np.linspace(0.0, horizon, n)
-    notes = []
+    t_nb = evolution.non_bijective_time(horizon)
+    zero = "f hits zero" if isinstance(evolution, Depolarizing) else "a map eigenvalue hits zero"
+    notes = () if t_nb is None else (f"non-bijective at t = {t_nb:.6f} ({zero})",)
     if isinstance(evolution, Depolarizing):
         vals = np.asarray(evolution.f(ts), dtype=float)
         f0_ok = bool(abs(vals[0] - 1.0) <= 1e-9)
         bad = [(float(t), float(v)) for t, v in zip(ts, vals) if not -1e-9 <= v <= 1.0 + 1e-9]
-        t_nb = evolution.non_bijective_time(horizon)
         cptp_ok = not bad and f0_ok
-        if t_nb is not None:
-            notes.append(f"non-bijective at t = {t_nb:.6f} (f hits zero)")
-        return ValidationReport(cptp_ok, f0_ok, tuple(bad), t_nb, cptp_ok, tuple(notes))
+        return ValidationReport(cptp_ok, f0_ok, tuple(bad), t_nb, cptp_ok, notes)
 
     if isinstance(evolution, PauliDiagonal):
         pmin = pauli_min_prob(evolution.map_eigenvalues(ts))
@@ -460,7 +459,7 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
     ident = linalg.identity_superoperator(evolution.dim)
     f0_ok = bool(np.max(np.abs(evolution.dynamical_map(0.0).matrix - ident.matrix)) <= 1e-9)
     ok = f0_ok and not bad
-    return ValidationReport(ok, f0_ok, tuple(bad), None, not bad, tuple(notes))
+    return ValidationReport(ok, f0_ok, tuple(bad), t_nb, not bad, notes)
 
 
 PAPER_EXAMPLE_F = "(1-3*t+2*t^2+2*t^3)/(1+t^2+t^3+3*t^5)"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,23 @@ def test_regularized_scan_for_non_invertible():
     # regularized value (f(s) - f(t))/4 at a sampled cell
     s, t = float(grid.times[2]), float(grid.times[40])
     assert abs(grid.value[2, 40] - (e.f_at(s) - e.f_at(t)) / 4) < 1e-12
+
+
+def _scan_peak_bytes(e, horizon, n):
+    tracemalloc.start()
+    try:
+        p.scan_regions(e, horizon, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pauli_scan_memory_is_bounded_like_depolarizing():
+    # the Pauli rows are filled in fixed blocks, so beyond the grid itself
+    # the scan holds one block of ratios, not the whole (n, n, 3) array
+    pauli = _scan_peak_bytes(p.QuasiEternal(alpha=0.1, t0=4.0), 40.0, 800)
+    depolarizing = _scan_peak_bytes(p.make_preset("paper-example"), 2.5, 800)
+    assert pauli <= 1.5 * depolarizing
 
 
 def test_min_value_location(catalog_grids):

@@ -350,6 +350,24 @@ def test_eternal_rhp_at_long_horizon_is_finite(capsys):
     assert math.isclose(rhp, math.log(math.cosh(400.0)), rel_tol=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "evolution, horizon",
+    [
+        ({"preset": "eternal"}, 400),
+        ({"type": "quasiEternal", "alpha": 0.1, "t0": 4}, 4000),
+    ],
+)
+def test_long_horizon_analyze_is_silent(evolution, horizon, capsys):
+    # a Pauli eigenvalue underflows to 0 in both; the scan must not
+    # print an overflow warning while it fills the s <= t cells
+    config = json.dumps({"evolution": evolution, "horizon": horizon})
+    assert main(["analyze", "--config", config]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    _strict_json(out)
+
+
 @pytest.mark.parametrize(
     "f",
     [

@@ -139,6 +139,16 @@ def test_validate_spec_flags_non_bijective():
     assert abs(rep.t_nb - 0.5) < 1e-6
 
 
+def test_validate_spec_flags_a_vanishing_pauli_eigenvalue():
+    # lambda_x = 1 - 2(p_y + p_z) = 1 - 0.8t vanishes at t = 1.25
+    e = p.PauliProbs(*(p.ScalarFn.parse(x) for x in ("0", "0.2*t", "0.2*t")))
+    rep = p.validate_spec(e, 2.0)
+    assert rep.valid
+    assert abs(rep.t_nb - 1.25) < 1e-6
+    assert rep.notes == ("non-bijective at t = 1.250000 (a map eigenvalue hits zero)",)
+    assert p.validate_spec(p.make_preset("eternal"), 3.0).notes == ()
+
+
 def test_presets_all_constructible():
     for name in p.PRESET_NAMES:
         e = p.make_preset(name)

@@ -1,7 +1,8 @@
 """The array map-eigenvalue path of the Pauli-diagonal families against the
-dense superoperator path (linalg.py), on random families, CP and not; and the
+dense superoperator path (linalg.py), on random families, CP and not; the
 closed-form RHP measure against the grid-step sum of Choi trace-norm
-excesses it replaced."""
+excesses it replaced; and the triangular, row-blocked region scan against
+the full-square scan it replaced."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,15 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore import linalg
-from pnmcore.errors import CPTPViolation, DomainError, PnmError, SingularMap
-from pnmcore.evolutions import pauli_probs
+from pnmcore.analysis import CPTP, NONCPTP, SCAN_BLOCK, SCAN_TOL, UNDEFINED
+from pnmcore.errors import (
+    CPTPViolation,
+    DomainError,
+    PnmError,
+    SingularMap,
+    UndefinedIntermediateMap,
+)
+from pnmcore.evolutions import pauli_min_prob, pauli_probs
 from pnmcore.measures import _choi_trace_norm_excess, _is_eb
 
 HORIZON, N = 3.0, 40
@@ -229,3 +237,99 @@ def test_closed_form_rhp_matches_richardson_step_sum(e):
     n = 40000
     richardson = 2.0 * _step_sum(e, HORIZON, 2 * n) - _step_sum(e, HORIZON, n)
     assert abs(p.rhp_measure(e, HORIZON) - richardson) < 1e-6
+
+
+def _reference_scan(e, horizon, n, tol=SCAN_TOL):
+    """(value, cls, regularized) of the full-square scan: every (s, t) cell
+    computed at once, the upper triangle gathered by index arrays."""
+    times = np.linspace(0.0, horizon, n)
+    value = np.full((n, n), np.nan)
+    cls = np.full((n, n), CPTP, dtype=np.int8)
+    upper = np.triu_indices(n)
+    regularized = False
+
+    if isinstance(e, p.Depolarizing):
+        fv = np.asarray(e.f(times), dtype=float)
+        t_nb = e.non_bijective_time(horizon)
+        fs = fv[:, None]
+        ft = fv[None, :]
+        if t_nb is not None:
+            regularized = True
+            val = (fs - ft) / e.dim**2
+            undefined = np.broadcast_to(np.abs(fs) <= 1e-9, val.shape)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = (1.0 - ft / fs) / e.dim**2
+            undefined = np.zeros_like(val, dtype=bool)
+    elif isinstance(e, p.PauliDiagonal):
+        eig = e.map_eigenvalues(times)  # (n, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # eig[None, j] / eig[i, None] = lambda(t_j) / lambda(t_i)
+            val = pauli_min_prob(eig[None, :, :] / eig[:, None, :])
+        undefined = ~np.isfinite(val)
+    else:
+        val = np.full((n, n), np.nan)
+        undefined = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i, n):
+                try:
+                    val[i, j] = e.intermediate_min_choi(float(times[i]), float(times[j]))
+                except UndefinedIntermediateMap:
+                    undefined[i, j] = True
+                    val[i, j] = np.nan
+
+    value[upper] = np.asarray(val, dtype=float)[upper]
+    np.fill_diagonal(value, 0.0)
+    cls[value < -tol] = NONCPTP
+    und = np.zeros((n, n), dtype=bool)
+    und[upper] = undefined[upper]
+    cls[und & ~(value < -tol)] = UNDEFINED
+    lower = np.tril_indices(n, -1)
+    value[lower] = np.nan
+    return value, cls, regularized
+
+
+@st.composite
+def depolarizing_families(draw):
+    """Random depolarizing families at d = 2, 3: f stays positive, or it
+    crosses zero and the scan is regularized."""
+    a, w = draw(positive), draw(positive)
+    if draw(st.booleans()):
+        b = draw(st.floats(0.0, 0.9))
+        f = f"exp(-{a}*t)*(1+{b:.4f}*cos({w}*t))/(1+{b:.4f})"
+    else:
+        f = f"exp(-{a}*t)*cos({w}*t)"
+    return p.Depolarizing(p.ScalarFn.parse(f), dim=draw(st.sampled_from([2, 3])))
+
+
+# grid sizes on and around the block edges, and past two blocks
+block_edge_n = st.sampled_from([16, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1]) | st.integers(
+    2 * SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 1
+)
+
+
+def _same_scan(e, horizon, n):
+    with np.errstate(over="ignore"):  # the full square overflows below the diagonal
+        ref, ref_err = _outcome(lambda: _reference_scan(e, horizon, n))
+    grid, err = _outcome(lambda: p.scan_regions(e, horizon, n))
+    assert err is ref_err
+    if err is None:
+        value, cls, regularized = ref
+        assert grid.value.tobytes() == value.tobytes()
+        assert np.array_equal(grid.cls, cls)
+        assert grid.regularized == regularized
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e=depolarizing_families() | pauli_families(),
+    horizon=st.sampled_from([HORIZON, 400.0]),  # 400: Pauli eigenvalues underflow
+    n=block_edge_n,
+)
+def test_blocked_scan_matches_full_square_scan(e, horizon, n):
+    _same_scan(e, horizon, n)
+
+
+def test_dense_fallback_scan_matches_full_square_scan():
+    # a core of a depolarizing family taken as a generic evolution
+    _same_scan(p.ShiftedEvolution(p.make_preset("paper-example"), 0.3), 2.0, 17)
