@@ -9,13 +9,14 @@ bisection refinement of the relevant sign boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import UndefinedIntermediateMap
+from .errors import PnmError, UndefinedIntermediateMap
 from .evolutions import (
     Depolarizing,
     Evolution,
@@ -32,6 +33,8 @@ from .numerics import bisect_boundary, bisect_root
 SCAN_TOL = 1e-10
 REFINE_XTOL = 1e-4
 SCAN_BLOCK = 64  # rows per Pauli scan block: bounds its temporaries to a few MB
+
+_EVAL_ERRORS = (PnmError, ArithmeticError, ValueError)  # what evaluating a family can raise
 
 CPTP, NONCPTP, UNDEFINED = 0, 1, 2
 CLASS_NAMES = {CPTP: "CPTP", NONCPTP: "NonCPTP", UNDEFINED: "Undefined"}
@@ -132,27 +135,23 @@ class CharTimes:
         )
 
 
-def _infinitesimal_non_cptp(e: Evolution, t: float, step: float) -> bool:
-    """Classifier for the infinitesimal intermediate map at t."""
+def _non_cptp(e: Evolution, ts: np.ndarray, step: float) -> np.ndarray:
+    """Whether the infinitesimal intermediate map at each time in ts is
+    non-CPTP: f rising, a negative rate, or the scaled smallest eigenvalue of
+    V_{t + eps, t} negative at two step sizes (the finest, if they disagree)."""
     if isinstance(e, Depolarizing):
-        tt = max(t, 1e-7)
-        return numeric_derivative(e.f, tt) > 0.0
-    rm = e.rate_min(t)
+        return numeric_derivative(e.f, np.maximum(ts, 1e-7)) > 0.0
+    rm = e.rate_min(ts)
     if rm is not None:
         return rm < 0.0
-    # scaled eigenvalue limit with sign agreement at two step sizes
-    def scaled(eps: float) -> float:
-        try:
-            return e.intermediate_min_choi(t, t + eps) / eps
-        except UndefinedIntermediateMap:
-            return -math.inf
-
-    v1, v2 = scaled(step), scaled(step / 2.0)
-    if min(abs(v1), abs(v2)) <= SCAN_TOL:
-        return False
-    if (v1 < 0) == (v2 < 0):
-        return v1 < 0
-    return scaled(step / 4.0) < 0  # disagreement: trust the finest step
+    scaled = lambda ts, eps: _min_choi(e, ts, ts + eps) / eps
+    v1, v2 = scaled(ts, step), scaled(ts, step / 2.0)
+    a, b = np.abs(v1), np.abs(v2)
+    live = np.where(b < a, b, a) > SCAN_TOL  # not (min(a, b) <= SCAN_TOL), NaN as min() has it
+    agree = (v1 < 0) == (v2 < 0)
+    flags, odd = live & agree & (v1 < 0), live & ~agree
+    flags[odd] = scaled(ts[odd], step / 4.0) < 0  # disagreement: trust the finest step
+    return flags
 
 
 def compute_tau_lambda(e: Evolution, horizon: float, n: int = 400) -> float:
@@ -160,16 +159,17 @@ def compute_tau_lambda(e: Evolution, horizon: float, n: int = 400) -> float:
     math.inf if none is found inside the horizon."""
     ts = np.linspace(0.0, horizon, n)
     step = float(ts[1] - ts[0])
-    prev = 0.0
-    for t in ts:
-        if _infinitesimal_non_cptp(e, float(t), step):
-            if t == 0.0:
-                return 0.0
-            return bisect_boundary(
-                lambda x: not _infinitesimal_non_cptp(e, x, step), prev, float(t), REFINE_XTOL
-            )
-        prev = float(t)
-    return math.inf
+    try:
+        flags = _non_cptp(e, ts, step)
+    except _EVAL_ERRORS:  # raise only what the times taken one by one raise before the first flag
+        flags = (_non_cptp(e, ts[k : k + 1], step)[0] for k in range(len(ts)))
+    k = next((k for k, flag in enumerate(flags) if flag), None)
+    if k is None:
+        return math.inf
+    if ts[k] == 0.0:
+        return 0.0
+    pred = lambda x: not _non_cptp(e, np.array([x]), step)[0]
+    return bisect_boundary(pred, float(ts[k - 1]), float(ts[k]), REFINE_XTOL)
 
 
 def _refine_peak(fn, lo: float, hi: float):
@@ -187,6 +187,7 @@ def _refine_peak(fn, lo: float, hi: float):
     return x, fn(x)
 
 
+@functools.lru_cache(maxsize=1)  # compute_T_lambda and compute_t_star share it
 def _max_after(e: Depolarizing, tau: float, horizon: float):
     """(argmax, max) of f on [tau, horizon], peak refined off the grid."""
     ts = np.linspace(tau, horizon, 8192)
@@ -212,23 +213,46 @@ def _depolarizing_T(e: Depolarizing, horizon: float, tau: float) -> float:
     return bisect_root(g, 0.0, tau, xtol=1e-7)
 
 
-def _min_choi_row(e: Evolution, s: float, ts: np.ndarray) -> np.ndarray:
-    """Smallest Choi eigenvalue of V_{t,s} for each t in ts; -inf where the
-    map is undefined."""
+def _min_choi(e: Evolution, s, t) -> np.ndarray:
+    """Smallest Choi eigenvalue of V_{t,s}, broadcast over arrays of s and t;
+    -inf where the map is undefined."""
     if isinstance(e, PauliDiagonal):
-        return e.intermediate_min_choi(s, ts)
-    out = np.empty(len(ts))
-    for k, t in enumerate(ts):
+        return e.intermediate_min_choi(s, t)
+    pairs = np.broadcast(s, t)
+    out = np.empty(pairs.shape)
+    for k, (a, b) in enumerate(pairs):
         try:
-            out[k] = e.intermediate_min_choi(s, float(t))
+            out.flat[k] = e.intermediate_min_choi(float(a), float(b))
         except UndefinedIntermediateMap:
-            out[k] = -math.inf
+            out.flat[k] = -math.inf
     return out
 
 
 def _condition_b(e: Evolution, T: float, t_grid: np.ndarray, tol: float) -> bool:
     """V_{t,T} CPTP for every grid t >= T."""
-    return not np.any(_min_choi_row(e, T, t_grid[t_grid >= T]) < -tol)
+    return not np.any(_min_choi(e, T, t_grid[t_grid >= T]) < -tol)
+
+
+def _first_failing(e: Evolution, cs: np.ndarray, t_grid: np.ndarray, lam, tol: float) -> Optional[int]:
+    """Index of the first T in cs where condition (B) fails, or None.  Given lam
+    on t_grid, blocks of 2, 4, 8, ... candidates are each one (rows x n) ratio
+    grid, until a block's lambda(T) raises or is singular; then one at a time."""
+    i, rows = 0, 2
+    while lam is not None and i < len(cs):
+        block = cs[i : i + rows]
+        try:
+            at = e.map_eigenvalues(block)[:, None]
+        except _EVAL_ERRORS:
+            break
+        if np.min(np.abs(at)) <= e.singular_tol:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            bad = (pauli_min_prob(lam / at) < -tol) & (t_grid >= block[:, None])
+        hit = np.flatnonzero(bad.any(axis=1))
+        if len(hit):
+            return i + int(hit[0])
+        i, rows = i + rows, 2 * rows
+    return next((k for k in range(i, len(cs)) if not _condition_b(e, float(cs[k]), t_grid, tol)), None)
 
 
 def compute_T_lambda(
@@ -245,27 +269,23 @@ def compute_T_lambda(
 
     t_grid = np.linspace(0.0, horizon, n)
     cap = min(tau, horizon)
-    b = lambda T: _condition_b(e, T, t_grid, tol)
-    if not b(0.0):
+    if not _condition_b(e, 0.0, t_grid, tol) or cap == 0.0:  # at cap = 0, (B) is (B) at 0
         return 0.0
-    if b(cap):
+    if _condition_b(e, cap, t_grid, tol):
         t_ab = cap
     else:
         # valid-(A and B) set is an interval [0, T_AB]: bracket then bisect
-        coarse = np.linspace(0.0, cap, 65)
-        hi = next(float(c) for c in coarse[1:] if not b(float(c)))
-        lo = hi - cap / 64.0
-        t_ab = bisect_boundary(b, lo, hi, REFINE_XTOL)
+        lam = e.map_eigenvalues(t_grid) if isinstance(e, PauliDiagonal) else None
+        b = lambda T: _first_failing(e, np.array([T]), t_grid, lam, tol) is None
+        cs = np.linspace(0.0, cap, 65)[1:]
+        hi = float(cs[_first_failing(e, cs, t_grid, lam, tol)])
+        t_ab = bisect_boundary(b, hi - cap / 64.0, hi, REFINE_XTOL)
     if t_ab > 0 and e.is_unitary_at(max(t_ab - REFINE_XTOL, 0.0)):
         # condition (C): walk back to the latest non-unitary time,
         # skipping the refinement-width neighborhood of the boundary
         for T in np.linspace(t_ab, 0.0, 65):
-            if T >= t_ab - REFINE_XTOL:
-                continue
-            if T > 0 and not e.is_unitary_at(float(T)):
-                return bisect_boundary(
-                    lambda x: not e.is_unitary_at(x), float(T), t_ab, REFINE_XTOL
-                )
+            if 0 < T < t_ab - REFINE_XTOL and not e.is_unitary_at(float(T)):
+                return bisect_boundary(lambda x: not e.is_unitary_at(x), float(T), t_ab, REFINE_XTOL)
         return 0.0
     return t_ab
 
@@ -299,7 +319,7 @@ def compute_t_star(
     delta = min((tau - T) / 4.0, (horizon / n) or 1e-3)
     s = T + delta
     ts = np.linspace(s, horizon, n)
-    bad = np.flatnonzero(_min_choi_row(e, s, ts[1:]) < -tol)
+    bad = np.flatnonzero(_min_choi(e, s, ts[1:]) < -tol)
     if not len(bad):
         return math.inf
     k = int(bad[0])

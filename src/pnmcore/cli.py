@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -317,6 +318,7 @@ def _json_doc(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+@functools.lru_cache(maxsize=1)  # built once per process: it costs about 2 ms
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pnmcore",

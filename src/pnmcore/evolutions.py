@@ -100,9 +100,10 @@ class Evolution:
     def is_unitary_at(self, t: float) -> bool:
         return linalg.is_unitary_map(self.dynamical_map(t), 1e-9)
 
-    def rate_min(self, t: float) -> Optional[float]:
-        """min_i gamma_i(t) for rate-driven families, else None."""
-        return None
+    def rate_min(self, ts) -> Optional[np.ndarray]:
+        """min_i gamma_i(ts) for rate-driven families, else None."""
+        g = self.rates(ts)
+        return None if g is None else np.min(g, axis=-1)
 
     def rates(self, ts) -> Optional[np.ndarray]:
         """gamma_i(ts), shape (..., 3), for families given by rate expressions, else None."""
@@ -183,8 +184,9 @@ class PauliDiagonal(Evolution):
         if not (np.all(0 <= np.asarray(s)) and np.all(np.asarray(s) <= t)):
             raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
         at_s = self.map_eigenvalues(s)
-        if np.min(np.abs(at_s)) <= self.singular_tol:
-            raise SingularMap(f"Pauli map not invertible at s={s}")
+        singular = np.min(np.abs(at_s), axis=-1) <= self.singular_tol
+        if np.any(singular):
+            raise SingularMap(f"Pauli map not invertible at s={float(np.ravel(s)[np.argmax(singular)])}")
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.map_eigenvalues(t) / at_s
 
@@ -266,9 +268,6 @@ class PauliRates(PauliDiagonal):
         g = np.stack([np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape) for fn in fns], -1)
         return np.where(np.isfinite(g), g, 0.0)
 
-    def rate_min(self, t: float) -> float:
-        return float(np.min(self.rates(t)))
-
 
 def pauli_from_rates(g_x: ScalarFn, g_y: ScalarFn, g_z: ScalarFn, t: float):
     """Pauli probabilities at time t of the evolution driven by the rates."""
@@ -300,18 +299,19 @@ class QuasiEternal(PauliDiagonal):
                 "dynamical maps would not stay CPTP"
             )
 
-    def _shift(self, t: float) -> float:
-        return max(0.0, t - self.t_unitary)
-
     def probs(self, s: float, t: float):
         """Intermediate-map probabilities between s and t (s = 0: dynamical map)."""
-        return quasi_eternal_probs(self.alpha, self.t0, self._shift(s), self._shift(t))
+        s, t = max(0.0, s - self.t_unitary), max(0.0, t - self.t_unitary)
+        return quasi_eternal_probs(self.alpha, self.t0, s, t)
 
     def map_eigenvalues(self, ts) -> np.ndarray:
         # lambda_x = lambda_y = e^{-alpha t} (cosh(t - t0) / cosh t0)^alpha, lambda_z = e^{-2 alpha t}
         t = np.maximum(0.0, np.asarray(ts, dtype=float) - self.t_unitary)
         e1 = np.exp(-self.alpha * t)
-        lxy = e1 * np.exp(self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # past alpha t ~ 710 it is 0 * inf
+            lxy = e1 * np.exp(self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0)))
+        if not np.isfinite(lxy).all():
+            lxy = np.where(np.isfinite(lxy), lxy, np.exp(self.log_map_eigenvalues(ts)[..., 0]))
         return np.stack([lxy, lxy, e1 * e1], axis=-1)
 
     def log_map_eigenvalues(self, ts) -> np.ndarray:
@@ -319,10 +319,9 @@ class QuasiEternal(PauliDiagonal):
         lxy = -self.alpha * t + self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0))
         return np.stack([lxy, lxy, -2.0 * self.alpha * t], axis=-1)
 
-    def rate_min(self, t: float) -> float:
-        if t < self.t_unitary:
-            return 0.0
-        return min(self.alpha / 2.0, -self.alpha / 2.0 * math.tanh(self._shift(t) - self.t0))
+    def rate_min(self, ts) -> np.ndarray:
+        t = np.asarray(ts, dtype=float)  # the z rate never exceeds the x and y rates alpha / 2
+        return np.where(t < self.t_unitary, 0.0, -self.alpha / 2.0 * np.tanh(t - self.t_unitary - self.t0))
 
     def is_unitary_at(self, t: float) -> bool:
         return t <= self.t_unitary + 1e-12
@@ -354,8 +353,8 @@ class ShiftedEvolution(Evolution):
     def intermediate_min_choi(self, s: float, t: float) -> float:
         return self.parent.intermediate_min_choi(s + self.shift, t + self.shift)
 
-    def rate_min(self, t: float) -> Optional[float]:
-        return self.parent.rate_min(t + self.shift)
+    def rate_min(self, ts) -> Optional[np.ndarray]:
+        return self.parent.rate_min(np.add(ts, self.shift))
 
     def rates(self, ts) -> Optional[np.ndarray]:
         return self.parent.rates(np.add(ts, self.shift))
@@ -382,13 +381,6 @@ class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
 def _log_cosh(x):
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def quasi_eternal_prob_grid(e: QuasiEternal, s, t):
-    """Vectorized intermediate-map probabilities (p0, pxy, pz) of a
-    quasi-eternal evolution, broadcast over arrays of s and t."""
-    p0, pxy, _, pz = pauli_probs(e.map_eigenvalues(t) / e.map_eigenvalues(s))
-    return p0, pxy, pz
 
 
 def find_first_zero(f, horizon: float, n: int = 2048) -> Optional[float]:

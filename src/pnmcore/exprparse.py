@@ -278,9 +278,9 @@ def _substitute(node: ExprAst, replacement: ExprAst) -> ExprAst:
     return node
 
 
-def numeric_derivative(f: ScalarFn, t: float, h: float = DERIV_STEP) -> float:
-    """Central difference, O(h^2) error."""
-    d = (float(f(t + h)) - float(f(t - h))) / (2 * h)
-    if not math.isfinite(d):
-        raise NonFiniteResult(f"derivative not finite at t={t}")
+def numeric_derivative(f: ScalarFn, t, h: float = DERIV_STEP):
+    """Central difference, O(h^2) error, at a float or an array of times."""
+    d = (np.asarray(f(t + h), dtype=float) - f(t - h)) / (2 * h)
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteResult(f"derivative not finite at t={np.broadcast_to(t, d.shape)[~np.isfinite(d)].flat[0]}")
     return d

@@ -356,11 +356,13 @@ def test_eternal_rhp_at_long_horizon_is_finite(capsys):
     [
         ({"preset": "eternal"}, 400),
         ({"type": "quasiEternal", "alpha": 0.1, "t0": 4}, 4000),
+        ({"preset": "eternal"}, 800),
     ],
 )
 def test_long_horizon_analyze_is_silent(evolution, horizon, capsys):
-    # a Pauli eigenvalue underflows to 0 in both; the scan must not
-    # print an overflow warning while it fills the s <= t cells
+    # a Pauli eigenvalue underflows to 0 in all three; the scan must not
+    # print an overflow warning while it fills the s <= t cells, and past
+    # alpha t ~ 710 lambda_x = lambda_y must not read 0 * inf
     config = json.dumps({"evolution": evolution, "horizon": horizon})
     assert main(["analyze", "--config", config]) == 0
     out, err = capsys.readouterr()
@@ -383,3 +385,11 @@ def test_deeply_nested_expression_exits_1_with_pointer(f, capsys):
     assert "nested deeper than 200 levels" in err
     assert "(at /evolution/f)" in err
     assert "Traceback" not in err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    from pnmcore.cli import _parser
+
+    assert _parser() is _parser()
+    assert main(["catalog"]) == 0 and main(["catalog"]) == 0
+    assert capsys.readouterr().out == "".join(f"{name}\n" for name in p.PRESET_NAMES) * 2

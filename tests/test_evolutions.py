@@ -94,13 +94,13 @@ def test_quasi_eternal_negative_pz_after_t0():
 
 
 def test_quasi_eternal_prob_grid_matches_scalar():
-    from pnmcore.evolutions import quasi_eternal_prob_grid
+    from pnmcore.evolutions import pauli_probs
 
     e = p.QuasiEternal(alpha=0.1, t0=4.0)
     s, t = 2.0, 6.0
-    p0, pxy, pz = quasi_eternal_prob_grid(e, s, t)
+    p0, px, py, pz = pauli_probs(e.intermediate_eigenvalues(s, t))
     scalar = e.probs(s, t)
-    assert np.allclose([p0, pxy, pxy, pz], scalar)
+    assert np.allclose([p0, px, py, pz], scalar)
 
 
 def test_unitary_prefix_behavior():

@@ -1,8 +1,11 @@
 """The array map-eigenvalue path of the Pauli-diagonal families against the
 dense superoperator path (linalg.py), on random families, CP and not; the
 closed-form RHP measure against the grid-step sum of Choi trace-norm
-excesses it replaced; and the triangular, row-blocked region scan against
-the full-square scan it replaced."""
+excesses it replaced; the triangular, row-blocked region scan against the
+full-square scan it replaced; and tau and T from whole-grid evaluations
+against the one-time-at-a-time loops they replaced."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,16 +14,19 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore import linalg
-from pnmcore.analysis import CPTP, NONCPTP, SCAN_BLOCK, SCAN_TOL, UNDEFINED
+from pnmcore import analysis
+from pnmcore.analysis import CPTP, NONCPTP, REFINE_XTOL, SCAN_BLOCK, SCAN_TOL, UNDEFINED, _depolarizing_T
 from pnmcore.errors import (
     CPTPViolation,
     DomainError,
+    NonFiniteResult,
     PnmError,
     SingularMap,
     UndefinedIntermediateMap,
 )
 from pnmcore.evolutions import pauli_min_prob, pauli_probs
 from pnmcore.measures import _choi_trace_norm_excess, _is_eb
+from pnmcore.numerics import bisect_boundary
 
 HORIZON, N = 3.0, 40
 coef = st.floats(-0.4, 0.4).map(lambda x: round(x, 4))
@@ -333,3 +339,216 @@ def test_blocked_scan_matches_full_square_scan(e, horizon, n):
 def test_dense_fallback_scan_matches_full_square_scan():
     # a core of a depolarizing family taken as a generic evolution
     _same_scan(p.ShiftedEvolution(p.make_preset("paper-example"), 0.3), 2.0, 17)
+
+
+def _old_derivative(f, t, h=1e-6):
+    d = (float(f(t + h)) - float(f(t - h))) / (2 * h)
+    if not math.isfinite(d):
+        raise NonFiniteResult(f"derivative not finite at t={t}")
+    return d
+
+
+def _old_non_cptp(e, t, step):
+    """The scalar infinitesimal test the array one replaced, at one time."""
+    if isinstance(e, p.Depolarizing):
+        return _old_derivative(e.f, max(t, 1e-7)) > 0.0
+    rm = e.rate_min(t)
+    if rm is not None:
+        return rm < 0.0
+
+    def scaled(eps):
+        try:
+            return e.intermediate_min_choi(t, t + eps) / eps
+        except UndefinedIntermediateMap:
+            return -math.inf
+
+    v1, v2 = scaled(step), scaled(step / 2.0)
+    if min(abs(v1), abs(v2)) <= SCAN_TOL:
+        return False
+    if (v1 < 0) == (v2 < 0):
+        return v1 < 0
+    return scaled(step / 4.0) < 0
+
+
+def _reference_tau(e, horizon, n):
+    """tau from the grid times taken one at a time, as before the array test."""
+    ts = np.linspace(0.0, horizon, n)
+    step = float(ts[1] - ts[0])
+    prev = 0.0
+    for t in ts:
+        if _old_non_cptp(e, float(t), step):
+            if t == 0.0:
+                return 0.0
+            return bisect_boundary(lambda x: not _old_non_cptp(e, x, step), prev, float(t), REFINE_XTOL)
+        prev = float(t)
+    return math.inf
+
+
+def _old_condition_b(e, T, t_grid, tol):
+    return not np.any(e.intermediate_min_choi(T, t_grid[t_grid >= T]) < -tol)
+
+
+def _reference_T(e, horizon, tau, n, tol=1e-9):
+    """T with condition (B) tested one coarse candidate at a time, as before
+    the ratio blocks."""
+    if not math.isfinite(tau):
+        return math.inf
+    if isinstance(e, p.Depolarizing):
+        return _depolarizing_T(e, horizon, tau)
+    t_grid = np.linspace(0.0, horizon, n)
+    cap = min(tau, horizon)
+    b = lambda T: _old_condition_b(e, T, t_grid, tol)
+    if not b(0.0):
+        return 0.0
+    if b(cap):
+        t_ab = cap
+    else:
+        coarse = np.linspace(0.0, cap, 65)
+        hi = next(float(c) for c in coarse[1:] if not b(float(c)))
+        t_ab = bisect_boundary(b, hi - cap / 64.0, hi, REFINE_XTOL)
+    if t_ab > 0 and e.is_unitary_at(max(t_ab - REFINE_XTOL, 0.0)):
+        for T in np.linspace(t_ab, 0.0, 65):
+            if T >= t_ab - REFINE_XTOL:
+                continue
+            if T > 0 and not e.is_unitary_at(float(T)):
+                return bisect_boundary(lambda x: not e.is_unitary_at(x), float(T), t_ab, REFINE_XTOL)
+        return 0.0
+    return t_ab
+
+
+def _outcome_msg(fn):
+    """(value, None) or (None, (exception type, message))."""
+    try:
+        return fn(), None
+    except PnmError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _same_times(e, horizon, n):
+    """tau and T equal (==) to the one-at-a-time loops', or the same error;
+    tau, None if it raised."""
+    tau, err = _outcome_msg(lambda: p.compute_tau_lambda(e, horizon, n))
+    assert (tau, err) == _outcome_msg(lambda: _reference_tau(e, horizon, n))
+    if err is None:
+        T = _outcome_msg(lambda: p.compute_T_lambda(e, horizon, tau, n))
+        assert T == _outcome_msg(lambda: _reference_T(e, horizon, tau, n))
+    return tau
+
+
+@st.composite
+def timed_families(draw):
+    """Random families of every built-in kind, CP-divisible or not."""
+    kind = draw(st.sampled_from(["monotone", "revival", "bump", "cos", "sin", "probs", "quasi"]))
+    a, w = draw(positive), draw(positive)
+    if kind in ("monotone", "revival", "bump"):
+        f = {
+            "monotone": f"0.5*exp(-{a}*t)+0.5*exp(-{w}*t)",
+            "revival": f"exp(-{a}*t)*(1+{draw(st.floats(0.0, 0.9)):.4f}*cos({w}*t))",
+            "bump": f"exp(-{a}*t)+{draw(small) + 0.11:.4f}*exp(-((t-{w})/{draw(st.floats(0.0015, 0.008)):.4f})^2)",
+        }[kind]
+        return p.Depolarizing(p.ScalarFn.parse(f), dim=draw(st.sampled_from([2, 3])))
+    if kind in ("cos", "sin"):
+        gz = f"{draw(coef)}+{draw(coef)}*cos({w}*t)" if kind == "cos" else f"-{a}*sin(1/t)*tanh(t)"
+        e = p.PauliRates(p.ScalarFn.parse(f"{w}"), p.ScalarFn.parse(f"{w}"), p.ScalarFn.parse(gz))
+    elif kind == "probs":
+        e = p.PauliProbs(
+            *(
+                p.ScalarFn.parse(f"{draw(coef)}*(1-exp(-{draw(positive)}*t))+{draw(coef)}*sin({draw(positive)}*t)^2")
+                for _ in range(3)
+            )
+        )
+    else:
+        e = p.QuasiEternal(
+            alpha=a, t0=p.t0_alpha(a) + draw(st.floats(0.0, 1.0)), t_unitary=draw(st.sampled_from([0.0, 0.5]))
+        )
+    shift = draw(st.sampled_from([None, None, 0.3, 1.1]))
+    return e if shift is None else p.ShiftedPauli(e, shift)
+
+
+@settings(max_examples=80, deadline=None)
+@given(e=timed_families(), n=st.sampled_from([16, 64, 101, 400]))
+def test_array_tau_and_T_equal_the_one_at_a_time_loops(e, n):
+    _same_times(e, HORIZON, n)
+
+
+# lambda_z = 1 - 0.4 t vanishes at t = 2.5, a grid time at n = 397; p_z falls
+# back from its peak at t = pi / 3 first
+ZERO_AFTER_TAU = ("0.1*t", "0.1*t", "0.2*sin(1.5*t)^2")
+
+
+def test_singular_point_after_tau_is_not_raised():
+    e = p.PauliProbs(*map(p.ScalarFn.parse, ZERO_AFTER_TAU))
+    ts = np.linspace(0.0, HORIZON, 397)
+    with pytest.raises(SingularMap):
+        e.intermediate_min_choi(ts, ts + 1e-3)  # the whole grid at once raises
+    tau = _same_times(e, HORIZON, 397)
+    assert 1.0 < tau < 1.1
+    # a core over the zero raises it, before and after
+    with pytest.raises(SingularMap):
+        _reference_tau(p.ShiftedPauli(e, ts[330]), HORIZON, 64)
+    _same_times(p.ShiftedPauli(e, ts[330]), HORIZON, 64)
+
+
+@pytest.mark.parametrize(
+    "f, raises",
+    [
+        # f' is NaN on (0.35, 0.45), before f first rises near t = 1.15
+        ("exp(-t)*(1+0.3*cos(4*t))+0*log(abs(t-0.4)-0.05)", True),
+        # ... and on (2, 3], after it: not raised
+        ("exp(-t)*(1+0.3*cos(4*t))+0*log(2-t)", False),
+    ],
+)
+def test_non_finite_derivative_raises_only_before_the_first_flag(f, raises):
+    e = p.Depolarizing(p.ScalarFn.parse(f))
+    tau = _same_times(e, HORIZON, 400)
+    assert (tau is None) == raises
+    if raises:
+        with pytest.raises(NonFiniteResult, match=r"derivative not finite at t=0\.35"):
+            p.compute_tau_lambda(e, HORIZON, 400)
+
+
+def test_non_finite_pauli_probabilities_before_the_first_flag_are_raised():
+    px = "0.1*(1-exp(-t))+0*log(abs(t-0.4)-0.05)"
+    e = p.PauliProbs(*map(p.ScalarFn.parse, (px, "0.1*(1-exp(-t))", "0.2*sin(1.5*t)^2")))
+    assert _same_times(e, HORIZON, 400) is None
+
+
+def test_depolarizing_peak_search_runs_once_per_characteristic_times(monkeypatch):
+    e = p.make_preset("paper-example")
+    calls = []
+    refine = analysis._refine_peak
+    monkeypatch.setattr(analysis, "_refine_peak", lambda *a: calls.append(a) or refine(*a))
+    ct = p.characteristic_times(e, 3.0, 400)
+    assert math.isfinite(ct.T) and math.isfinite(ct.t_star)
+    assert len(calls) == 1
+
+
+def _reference_first_failing(e, cs, t_grid, tol=1e-9):
+    return next((k for k, c in enumerate(cs) if not _old_condition_b(e, float(c), t_grid, tol)), None)
+
+
+def test_ratio_blocks_find_the_first_failing_candidate_at_every_position():
+    e = p.PauliRates(*(p.ScalarFn.parse(x) for x in ("0.5", "0.5", "0.2+0.6*cos(3*t)")))
+    t_grid = np.linspace(0.0, HORIZON, 400)
+    lam = e.map_eigenvalues(t_grid)
+    T_ab = p.compute_T_lambda(e, HORIZON, None, 400)  # about 0.443
+    positions = set()
+    for k in range(63):
+        # 63 candidates whose first failing one is the k-th
+        cs = np.linspace(0.0, T_ab * 63 / (k + 0.5), 64)[1:]
+        first = analysis._first_failing(e, cs, t_grid, lam, 1e-9)
+        assert first == _reference_first_failing(e, cs, t_grid)
+        positions.add(first)
+    assert positions == set(range(63))
+
+
+def test_ratio_blocks_raise_at_a_singular_candidate_as_one_at_a_time():
+    # every lambda_i = 1 - 0.4 t decays to 0 at the horizon and last
+    # candidate, t = 2.5; condition (B) holds at every candidate before it
+    e = p.PauliProbs(*map(p.ScalarFn.parse, ("0.1*t", "0.1*t", "0.1*t")))
+    t_grid = np.linspace(0.0, 2.5, 400)
+    cs = np.linspace(0.0, 2.5, 6)[1:]
+    blocked = _outcome_msg(lambda: analysis._first_failing(e, cs, t_grid, e.map_eigenvalues(t_grid), 1e-9))
+    reference = _outcome_msg(lambda: _reference_first_failing(e, cs, t_grid))
+    assert blocked == reference
+    assert reference[1] == (SingularMap, "Pauli map not invertible at s=2.5")
