@@ -36,6 +36,7 @@ from .errors import (
 )
 from .evolutions import (
     Depolarizing,
+    DiagonalEvolution,
     Evolution,
     PauliDiagonal,
     PauliProbs,

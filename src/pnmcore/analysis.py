@@ -19,20 +19,18 @@ import numpy as np
 from .errors import PnmError, UndefinedIntermediateMap
 from .evolutions import (
     Depolarizing,
+    DiagonalEvolution,
     Evolution,
     PauliDiagonal,
-    QuasiEternal,
     ShiftedEvolution,
     ShiftedPauli,
-    pauli_min_prob,
-    t0_alpha,
 )
 from .exprparse import numeric_derivative
 from .numerics import bisect_boundary, bisect_root
 
 SCAN_TOL = 1e-10
 REFINE_XTOL = 1e-4
-SCAN_BLOCK = 64  # rows per Pauli scan block: bounds its temporaries to a few MB
+SCAN_BLOCK = 64  # rows per scan block: bounds its temporaries to a few MB
 
 _EVAL_ERRORS = (PnmError, ArithmeticError, ValueError)  # what evaluating a family can raise
 
@@ -72,25 +70,21 @@ def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_T
     undefined = np.zeros((n, n), dtype=bool)
     regularized = False
 
-    if isinstance(e, Depolarizing):
+    if isinstance(e, Depolarizing) and e.non_bijective_time(horizon) is not None:
+        # f(s) lambda_{t,s} = (f(s) - f(t)) / d^2: finite, of lambda's sign, at f(s) = 0 too
         fv = np.asarray(e.f(times), dtype=float)
         fs, ft = fv[:, None], fv[None, :]
-        if e.non_bijective_time(horizon) is not None:
-            regularized = True
-            np.divide(np.subtract(fs, ft, out=value), e.dim**2, out=value)
-            undefined = np.broadcast_to(np.abs(fs) <= 1e-9, value.shape)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(ft, fs, out=value)
-                np.divide(np.subtract(1.0, value, out=value), e.dim**2, out=value)
-    elif isinstance(e, PauliDiagonal):
-        eig = e.map_eigenvalues(times)  # (n, 3)
+        regularized = True
+        np.divide(np.subtract(fs, ft, out=value), e.dim**2, out=value)
+        undefined = np.broadcast_to(np.abs(fs) <= 1e-9, value.shape)
+    elif isinstance(e, DiagonalEvolution):
+        eig = e.map_eigenvalues(times)  # (n, m)
         # overflow too: a block's cells below the diagonal are discarded
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i0 in range(0, n, SCAN_BLOCK):
                 # rows i0:i1, columns j >= i0: lambda(t_j) / lambda(t_i)
                 rows = slice(i0, i0 + SCAN_BLOCK)
-                value[rows, i0:] = pauli_min_prob(eig[None, i0:] / eig[rows, None])
+                value[rows, i0:] = e.min_choi(eig[None, i0:] / eig[rows, None])
         undefined = ~np.isfinite(value)
     else:
         for i in range(n):
@@ -216,7 +210,7 @@ def _depolarizing_T(e: Depolarizing, horizon: float, tau: float) -> float:
 def _min_choi(e: Evolution, s, t) -> np.ndarray:
     """Smallest Choi eigenvalue of V_{t,s}, broadcast over arrays of s and t;
     -inf where the map is undefined."""
-    if isinstance(e, PauliDiagonal):
+    if isinstance(e, DiagonalEvolution):
         return e.intermediate_min_choi(s, t)
     pairs = np.broadcast(s, t)
     out = np.empty(pairs.shape)
@@ -247,7 +241,7 @@ def _first_failing(e: Evolution, cs: np.ndarray, t_grid: np.ndarray, lam, tol: f
         if np.min(np.abs(at)) <= e.singular_tol:
             break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bad = (pauli_min_prob(lam / at) < -tol) & (t_grid >= block[:, None])
+            bad = (e.min_choi(lam / at) < -tol) & (t_grid >= block[:, None])
         hit = np.flatnonzero(bad.any(axis=1))
         if len(hit):
             return i + int(hit[0])
@@ -275,7 +269,7 @@ def compute_T_lambda(
         t_ab = cap
     else:
         # valid-(A and B) set is an interval [0, T_AB]: bracket then bisect
-        lam = e.map_eigenvalues(t_grid) if isinstance(e, PauliDiagonal) else None
+        lam = e.map_eigenvalues(t_grid) if isinstance(e, DiagonalEvolution) else None
         b = lambda T: _first_failing(e, np.array([T]), t_grid, lam, tol) is None
         cs = np.linspace(0.0, cap, 65)[1:]
         hi = float(cs[_first_failing(e, cs, t_grid, lam, tol)])
@@ -360,7 +354,10 @@ def characteristic_times(e: Evolution, horizon: float, n: int = 400) -> CharTime
 
 
 def extract_pnm_core(e: Evolution, T: float) -> Evolution:
-    """The evolution t -> V_{t + T, T} as a first-class family."""
+    """The evolution t -> V_{t + T, T} as a first-class family: the parent
+    shifted by T, with f(t + T) / f(T) for a depolarizing parent,
+    lambda(t + T) / lambda(T) for a Pauli-diagonal one, and dense maps
+    otherwise."""
     if T == 0:
         return e
     if not math.isfinite(T) or T < 0:
@@ -369,10 +366,7 @@ def extract_pnm_core(e: Evolution, T: float) -> Evolution:
         f_at_T = e.f_at(T)
         if f_at_T <= 1e-12:
             raise UndefinedIntermediateMap(f"f({T}) = 0: core undefined at or past t_NB")
-        return Depolarizing(e.f.shifted_normalized(T, f_at_T), dim=e.dim)
-    if isinstance(e, QuasiEternal) and e.t_unitary == 0.0:
-        t0 = max(e.t0 - T, t0_alpha(e.alpha))  # clamp refinement error of T
-        return QuasiEternal(alpha=e.alpha, t0=t0)
+        return Depolarizing(lambda ts: e.f(np.add(ts, T)) / f_at_T, dim=e.dim)
     if isinstance(e, PauliDiagonal):
         return ShiftedPauli(e, T)
     return ShiftedEvolution(e, T)

@@ -3,9 +3,10 @@ rate-driven), quasi-eternal, and time-shifted derived evolutions.
 
 Every family exposes the dynamical map at time t and the intermediate map
 between two times, plus a closed-form smallest Choi eigenvalue wherever
-the family provides one (numeric inversion is only a fallback).  The qubit
-Pauli families also give their map eigenvalues for whole arrays of times,
-and the analysis runs on those; their dense maps serve as the test oracle.
+the family provides one (numeric inversion is only a fallback).  The
+built-in families are diagonal: they give their map eigenvalues, f(t) or
+lambda_x, lambda_y, lambda_z, for whole arrays of times, and the analysis
+runs on those; their dense maps are built from the same eigenvalues.
 """
 
 from __future__ import annotations
@@ -115,59 +116,15 @@ class Evolution:
         return None
 
 
-@dataclass(frozen=True)
-class Depolarizing(Evolution):
-    """rho -> f(t) rho + (1 - f(t)) Tr[rho] 1/d."""
+class DiagonalEvolution(Evolution):
+    """A family acting diagonally on a fixed operator basis.  Subclasses give
+    `map_eigenvalues(ts)` with shape (..., m) for a float or an array of
+    times; for maps with eigenvalues lam, the smallest Choi eigenvalue
+    `min_choi(lam)` and the dense map `superoperator(lam)`; and `singular(s)`,
+    the error for V_{t,s} where lambda(s) vanishes.  V_{t,s} has
+    lambda(t) / lambda(s)."""
 
-    f: ScalarFn
-    dim: int = 2
-
-    def f_at(self, t: float) -> float:
-        v = float(self.f(t))
-        if not math.isfinite(v):
-            raise NonFiniteResult(f"f({t}) is not finite")
-        return v
-
-    def dynamical_map(self, t: float) -> linalg.Superoperator:
-        return linalg.depolarizing_superoperator(self.dim, self.f_at(t))
-
-    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        if not 0 <= s <= t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        fs = self.f_at(s)
-        if abs(fs) <= F_ZERO_TOL:
-            raise UndefinedIntermediateMap(
-                f"f({s}) = 0: the dynamical map is non-invertible at s={s}"
-            )
-        return linalg.depolarizing_superoperator(self.dim, self.f_at(t) / fs)
-
-    def intermediate_min_choi(self, s: float, t: float) -> float:
-        fs = self.f_at(s)
-        if abs(fs) <= F_ZERO_TOL:
-            raise UndefinedIntermediateMap(f"f({s}) = 0 at s={s}")
-        return (1.0 - self.f_at(t) / fs) / self.dim**2
-
-    def regularized_value(self, s: float, t: float) -> float:
-        """l_{t,s} = f(s) * lambda_{t,s} = (f(s) - f(t)) / d^2; finite and
-        sign-equivalent to lambda even where f(s) = 0."""
-        return (self.f_at(s) - self.f_at(t)) / self.dim**2
-
-    def is_unitary_at(self, t: float) -> bool:
-        return abs(self.f_at(t) - 1.0) <= 1e-9
-
-    def non_bijective_time(self, horizon: float) -> Optional[float]:
-        return find_first_zero(self.f, horizon)
-
-
-class PauliDiagonal(Evolution):
-    """A qubit family sigma_k -> lambda_k(t) sigma_k.  Subclasses give
-    `map_eigenvalues(ts)`, lambda_x, lambda_y, lambda_z with shape (..., 3)
-    for a float or an array of times; V_{t,s} has lambda(t) / lambda(s)."""
-
-    singular_tol = -math.inf  # |lambda(s)| at or below it: V_{t,s} raises SingularMap
-
-    def map_eigenvalues(self, ts) -> np.ndarray:
-        raise NotImplementedError
+    singular_tol = -math.inf  # |lambda(s)| at or below it: V_{t,s} is not defined
 
     def log_map_eigenvalues(self, ts) -> np.ndarray:
         """log |lambda(ts)|, which families with exponential eigenvalues
@@ -186,19 +143,73 @@ class PauliDiagonal(Evolution):
         at_s = self.map_eigenvalues(s)
         singular = np.min(np.abs(at_s), axis=-1) <= self.singular_tol
         if np.any(singular):
-            raise SingularMap(f"Pauli map not invertible at s={float(np.ravel(s)[np.argmax(singular)])}")
+            raise self.singular(float(np.ravel(s)[np.argmax(singular)]))
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.map_eigenvalues(t) / at_s
 
     def dynamical_map(self, t: float) -> linalg.Superoperator:
-        return linalg.pauli_superoperator(pauli_probs(self.dynamical_eigenvalues(t)))
+        return self.superoperator(self.dynamical_eigenvalues(t))
 
     def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        return linalg.pauli_superoperator(pauli_probs(self.intermediate_eigenvalues(s, t)))
+        return self.superoperator(self.intermediate_eigenvalues(s, t))
 
     def intermediate_min_choi(self, s, t):
+        return self.min_choi(self.intermediate_eigenvalues(s, t))
+
+
+@dataclass(frozen=True)
+class Depolarizing(DiagonalEvolution):
+    """rho -> f(t) rho + (1 - f(t)) Tr[rho] 1/d, the one map eigenvalue f(t)."""
+
+    f: ScalarFn  # or any function of a float or an array of times, as a core's f(t + T) / f(T)
+    dim: int = 2
+    singular_tol = F_ZERO_TOL
+
+    def f_at(self, t: float) -> float:
+        v = float(self.f(t))
+        if not math.isfinite(v):
+            raise NonFiniteResult(f"f({t}) is not finite")
+        return v
+
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        return np.asarray(self.f(ts), dtype=float)[..., None]
+
+    def dynamical_eigenvalues(self, ts) -> np.ndarray:
+        lam = self.map_eigenvalues(ts)
+        bad = ~np.isfinite(lam[..., 0])
+        if np.any(bad):
+            raise NonFiniteResult(f"f({np.broadcast_to(ts, bad.shape)[bad].flat[0]}) is not finite")
+        return lam
+
+    def min_choi(self, lam):
+        return (1.0 - lam[..., 0]) / self.dim**2
+
+    def superoperator(self, lam) -> linalg.Superoperator:
+        return linalg.depolarizing_superoperator(self.dim, lam[0])
+
+    def singular(self, s: float) -> Exception:
+        return UndefinedIntermediateMap(f"f({s}) = 0: the dynamical map is non-invertible at s={s}")
+
+    def is_unitary_at(self, t: float) -> bool:
+        return abs(self.f_at(t) - 1.0) <= 1e-9
+
+    def non_bijective_time(self, horizon: float) -> Optional[float]:
+        return find_first_zero(self.f, horizon)
+
+
+class PauliDiagonal(DiagonalEvolution):
+    """A qubit family sigma_k -> lambda_k(t) sigma_k, m = 3: lambda_x,
+    lambda_y, lambda_z."""
+
+    def min_choi(self, lam):
         # the Choi eigenvalues of a Pauli map are its four probabilities
-        return pauli_min_prob(self.intermediate_eigenvalues(s, t))
+        return pauli_min_prob(lam)
+
+    def superoperator(self, lam) -> linalg.Superoperator:
+        return linalg.pauli_superoperator(pauli_probs(lam))
+
+    def singular(self, s: float) -> Exception:
+        return SingularMap(f"Pauli map not invertible at s={s}")
 
     def is_unitary_at(self, t: float) -> bool:
         # a Pauli map is unitary iff it is conjugation by a single sigma_i
@@ -329,11 +340,8 @@ class QuasiEternal(PauliDiagonal):
 
 @dataclass(frozen=True)
 class ShiftedEvolution(Evolution):
-    """The derived evolution t -> V_{t + shift, shift} of a parent family.
-
-    Generic fallback for core extraction when the parent has no
-    closed-form reparametrization.
-    """
+    """The derived evolution t -> V_{t + shift, shift} of a parent family:
+    the dense core of a parent that is not diagonal."""
 
     parent: Evolution
     shift: float
@@ -366,7 +374,7 @@ class ShiftedEvolution(Evolution):
 
 class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
     """The core of a Pauli-diagonal parent, with map eigenvalues
-    lambda(t + shift) / lambda(shift).  Its dense maps still come from the
+    lambda(t + shift) / lambda(shift).  Its dense maps come from the
     parent's intermediate maps."""
 
     def map_eigenvalues(self, ts) -> np.ndarray:
@@ -443,8 +451,8 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
         cptp_ok = not bad and f0_ok
         return ValidationReport(cptp_ok, f0_ok, tuple(bad), t_nb, cptp_ok, notes)
 
-    if isinstance(evolution, PauliDiagonal):
-        pmin = pauli_min_prob(evolution.map_eigenvalues(ts))
+    if isinstance(evolution, DiagonalEvolution):
+        pmin = evolution.min_choi(evolution.map_eigenvalues(ts))
     else:
         pmin = [linalg.min_choi_eigenvalue(evolution.dynamical_map(float(t))) for t in ts]
     bad = [(float(t), float(m)) for t, m in zip(ts, pmin) if m < -1e-9]

@@ -257,26 +257,6 @@ class ScalarFn:
             raise NonFiniteResult(f"{self.source or 'expression'} is not finite at t={t}")
         return v
 
-    def shifted_normalized(self, shift: float, scale: float) -> "ScalarFn":
-        """The function t -> f(t + shift) / scale, as a new AST."""
-        shifted = _substitute(self.ast, Binary("+", Variable(), Number(float(shift))))
-        return ScalarFn(
-            Binary("/", shifted, Number(float(scale))),
-            f"({self.source})(t+{shift:g})/{scale:g}" if self.source else "",
-        )
-
-
-def _substitute(node: ExprAst, replacement: ExprAst) -> ExprAst:
-    if isinstance(node, Variable):
-        return replacement
-    if isinstance(node, Unary):
-        return Unary(_substitute(node.operand, replacement))
-    if isinstance(node, Binary):
-        return Binary(node.op, _substitute(node.left, replacement), _substitute(node.right, replacement))
-    if isinstance(node, Call):
-        return Call(node.name, _substitute(node.argument, replacement))
-    return node
-
 
 def numeric_derivative(f: ScalarFn, t, h: float = DERIV_STEP):
     """Central difference, O(h^2) error, at a float or an array of times."""

@@ -20,12 +20,11 @@ from . import linalg
 from .errors import (
     DegeneratePair,
     DomainError,
-    NonFiniteResult,
     UndefinedIntermediateMap,
     UnsupportedDimension,
     ZeroDifference,
 )
-from .evolutions import F_ZERO_TOL, Depolarizing, Evolution, PauliDiagonal, pauli_probs
+from .evolutions import F_ZERO_TOL, Depolarizing, DiagonalEvolution, Evolution, PauliDiagonal, pauli_probs
 from .exprparse import ScalarFn
 from .numerics import bisect_boundary
 
@@ -222,11 +221,9 @@ def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
     zero (non_bijective_time).  Other families get the excess summed over n
     grid steps, undefined steps skipped."""
     if isinstance(e, Depolarizing):
-        weight = 2.0 * (1.0 - 1.0 / e.dim**2)
-        log_eig = lambda ts: np.log(np.abs(e.f(ts)))[..., None]
-        to_c = lambda logs: -logs
+        weight, to_c = 2.0 * (1.0 - 1.0 / e.dim**2), np.negative
     elif isinstance(e, PauliDiagonal):
-        weight, log_eig = 2.0, e.log_map_eigenvalues
+        weight = 2.0
         to_c = lambda logs: logs / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
     else:
         total, times = 0.0, np.linspace(0.0, horizon, n)
@@ -236,7 +233,7 @@ def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
             except UndefinedIntermediateMap:
                 continue
         return total
-    c = lambda ts: to_c(log_eig(ts))
+    c = lambda ts: to_c(e.log_map_eigenvalues(ts))
     with np.errstate(divide="ignore", invalid="ignore"):
         ts = np.linspace(0.0, horizon, max(n, RATE_POINTS))
         g = e.rates(ts)
@@ -247,7 +244,7 @@ def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
         ts = np.linspace(0.0, horizon, max(n, DETECT_POINTS))
         t_nb = e.non_bijective_time(horizon)
         if t_nb is not None:
-            if np.any(np.sum(log_eig(ts[ts > t_nb]), axis=-1) > math.log(F_ZERO_TOL)):
+            if np.any(np.sum(e.log_map_eigenvalues(ts[ts > t_nb]), axis=-1) > math.log(F_ZERO_TOL)):
                 return math.inf
             ts = ts[ts < t_nb]
         return weight * _total_decrease(c, ts)
@@ -257,16 +254,11 @@ def _is_eb(e: Evolution, ts):
     """PPT (entanglement-breaking) test of the qubit dynamical maps at ts; for
     Pauli-diagonal maps, and depolarizing ones with lambda = (f, f, f), the
     partial transpose of the Choi state has eigenvalues 1/2 - p_i."""
-    if isinstance(e, PauliDiagonal):
-        lam = e.dynamical_eigenvalues(ts)
-    elif isinstance(e, Depolarizing):
-        f = np.asarray(e.f(ts), dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise NonFiniteResult("f is not finite on the EB grid")
-        lam = np.stack([f, f, f], axis=-1)
-    else:
+    if not isinstance(e, DiagonalEvolution):
         dense = lambda t: linalg.is_eb_qubit(e.dynamical_map(float(t)))
         return np.vectorize(dense, otypes=[bool])(ts)
+    lam = e.dynamical_eigenvalues(ts)
+    lam = np.broadcast_to(lam, lam.shape[:-1] + (3,))  # m = 1: (f, f, f)
     return 0.5 - np.maximum.reduce(pauli_probs(lam)) >= -1e-10
 
 

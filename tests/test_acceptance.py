@@ -156,8 +156,7 @@ def test_criterion_7_property_suites(catalog, catalog_grids):
     for name in ("paper-example", "appendix-f", "quasi-eternal"):
         e, horizon, ct = catalog[name]
         core = p.extract_pnm_core(e, ct.T)
-        shift = (e.t0 - core.t0) if isinstance(e, p.QuasiEternal) else ct.T
-        parent, child = p.rhp_measure(e, horizon), p.rhp_measure(core, horizon - shift)
+        parent, child = p.rhp_measure(e, horizon), p.rhp_measure(core, horizon - ct.T)
         if math.isinf(parent):
             checks.append((f"RHP parent=core ({name})", int(math.isinf(child)), 1, None))
         else:

@@ -137,7 +137,9 @@ def test_extract_core_depolarizing(catalog):
     assert abs(core.f_at(0.0) - 1.0) < 1e-9
     # core characteristic function is the renormalized shift of the parent
     for t in (0.1, 0.5, 1.0):
-        assert abs(core.f_at(t) - e.f_at(t + ct.T) / e.f_at(ct.T)) < 1e-12
+        assert core.f_at(t) == e.f(t + ct.T) / e.f_at(ct.T)
+    ts = np.linspace(0.0, horizon - ct.T, 201)
+    assert np.array_equal(core.f(ts), e.f(ts + ct.T) / e.f_at(ct.T))
 
 
 def test_extract_core_zero_shift_is_identity():
@@ -145,12 +147,18 @@ def test_extract_core_zero_shift_is_identity():
     assert p.extract_pnm_core(e, 0.0) is e
 
 
-def test_extract_core_quasi_eternal(catalog):
-    e, _, ct = catalog["quasi-eternal"]
-    core = p.extract_pnm_core(e, ct.T)
-    assert isinstance(core, p.QuasiEternal)
-    assert core.alpha == e.alpha
-    assert abs(core.t0 - p.t0_alpha(e.alpha)) < 5e-3
+def test_extract_core_quasi_eternal():
+    # the core is the parent shifted by T, not a re-parametrized QuasiEternal:
+    # at both configs t0 - T < t0_alpha, where QuasiEternal(alpha, t0 - T) raises
+    for params, horizon in (({}, 5.0), ({"t0": 4.0}, 40.0)):
+        e = p.make_preset("quasi-eternal", **params)
+        T = p.characteristic_times(e, horizon, 400).T
+        assert e.t0 - T < p.t0_alpha(e.alpha)
+        core = p.extract_pnm_core(e, T)
+        a, t0, t = e.alpha, e.t0, np.linspace(0.0, horizon - T, 201)
+        lxy = np.exp(-a * t) * (np.cosh(t - t0 + T) / np.cosh(t0 - T)) ** a
+        closed = np.stack([lxy, lxy, np.exp(-2 * a * t)], axis=-1)
+        assert np.allclose(core.map_eigenvalues(t), closed, rtol=0.0, atol=1e-12)
 
 
 def test_core_is_pnm(catalog):

@@ -88,6 +88,21 @@ def test_run_report_markovian():
     assert doc["measures"]["delta"] == 0.0
 
 
+@pytest.mark.parametrize("params, horizon", [({}, 5.0), ({"t0": 4.0}, 40.0)], ids=["defaults", "golden"])
+def test_run_report_quasi_eternal_core_is_pnm_with_the_parent_rhp(params, horizon):
+    # at the preset's defaults (t0 = t0_alpha, h = 5) and the golden config the
+    # core V_{t+T,T} is PNM, and the RHP measure sums only the backflow past T
+    cfg = load_config(json.dumps({"evolution": {"preset": "quasi-eternal", **params}, "horizon": horizon}))
+    doc = run_report(cfg)
+    assert doc["classification"] == "NNM"
+    assert doc["core"]["recomputed_times"]["T"] == 0.0
+    T = doc["times"]["T"]
+    core = p.extract_pnm_core(cfg.evolution, T)
+    h = max(cfg.horizon - T, cfg.horizon / 10)
+    assert p.characteristic_times(core, h, cfg.grid_points).classification == "PNM"
+    assert math.isclose(doc["core"]["measures"]["rhp"], doc["measures"]["rhp"], rel_tol=1e-9)
+
+
 def test_run_report_deterministic():
     cfg = load_config('{"evolution":{"preset":"eternal"},"horizon":2.0,"grid_points":64}')
     a = json.dumps(run_report(cfg), sort_keys=True)

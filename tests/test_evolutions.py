@@ -50,9 +50,11 @@ def test_non_bijective_depolarizing():
     assert abs(t_nb - 0.5) < 1e-6
     with pytest.raises(UndefinedIntermediateMap):
         e.intermediate_map(0.5, 1.0)
-    # regularized eigenvalue keeps the sign information
-    assert e.regularized_value(0.5, 1.0) < 0
-    assert e.regularized_value(0.25, 0.5) > 0
+    # the regularized scan keeps the sign information: times are k / 4
+    grid = p.scan_regions(e, 5.0, 21)
+    assert grid.regularized
+    assert grid.value[2, 4] < 0  # (s, t) = (0.5, 1.0)
+    assert grid.value[1, 2] > 0  # (s, t) = (0.25, 0.5)
 
 
 def test_pauli_probs_eigenvalue_conversions():

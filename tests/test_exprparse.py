@@ -100,14 +100,6 @@ def test_non_ascii_rejected():
         parse_expr("t²")
 
 
-def test_shifted_normalized():
-    f = ScalarFn.parse("exp(-t)")
-    g = f.shifted_normalized(1.0, math.exp(-1.0))
-    for t in (0.0, 0.5, 2.0):
-        assert np.isclose(float(g(t)), math.exp(-(t + 1.0)) / math.exp(-1.0))
-    assert np.isclose(float(g(0.0)), 1.0)
-
-
 def test_constant():
     f = ScalarFn.constant(3.5)
     assert float(f(123.0)) == 3.5

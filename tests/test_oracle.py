@@ -1,15 +1,17 @@
 """The array map-eigenvalue path of the Pauli-diagonal families against the
 dense superoperator path (linalg.py), on random families, CP and not; the
-closed-form RHP measure against the grid-step sum of Choi trace-norm
-excesses it replaced; the triangular, row-blocked region scan against the
-full-square scan it replaced; and tau and T from whole-grid evaluations
-against the one-time-at-a-time loops they replaced."""
+depolarizing maps built from the one eigenvalue f(t) against the
+hand-written ones they replaced; the closed-form RHP measure against the
+grid-step sum of Choi trace-norm excesses it replaced; the triangular,
+row-blocked region scan against the full-square scan it replaced; and tau
+and T from whole-grid evaluations against the one-time-at-a-time loops they
+replaced."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
@@ -24,7 +26,7 @@ from pnmcore.errors import (
     SingularMap,
     UndefinedIntermediateMap,
 )
-from pnmcore.evolutions import pauli_min_prob, pauli_probs
+from pnmcore.evolutions import F_ZERO_TOL, pauli_min_prob, pauli_probs
 from pnmcore.measures import _choi_trace_norm_excess, _is_eb
 from pnmcore.numerics import bisect_boundary
 
@@ -247,7 +249,9 @@ def test_closed_form_rhp_matches_richardson_step_sum(e):
 
 def _reference_scan(e, horizon, n, tol=SCAN_TOL):
     """(value, cls, regularized) of the full-square scan: every (s, t) cell
-    computed at once, the upper triangle gathered by index arrays."""
+    computed at once, the upper triangle gathered by index arrays; for a
+    depolarizing family, the whole-array scan of f(t) the row blocks of map
+    eigenvalues replaced."""
     times = np.linspace(0.0, horizon, n)
     value = np.full((n, n), np.nan)
     cls = np.full((n, n), CPTP, dtype=np.int8)
@@ -297,12 +301,20 @@ def _reference_scan(e, horizon, n, tol=SCAN_TOL):
 
 @st.composite
 def depolarizing_families(draw):
-    """Random depolarizing families at d = 2, 3: f stays positive, or it
-    crosses zero and the scan is regularized."""
+    """Random depolarizing families at d = 2, 3: monotone, revival and narrow
+    bump shapes stay positive, so the scan is bijective (unless f underflows
+    to 0 at horizon 400); exp(-a t) cos(w t) changes sign, and the scan is
+    regularized."""
     a, w = draw(positive), draw(positive)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["monotone", "revival", "bump", "cos"]))
+    if kind == "monotone":
+        f = f"0.5*exp(-{a}*t)+0.5*exp(-{w}*t)"
+    elif kind == "revival":
         b = draw(st.floats(0.0, 0.9))
         f = f"exp(-{a}*t)*(1+{b:.4f}*cos({w}*t))/(1+{b:.4f})"
+    elif kind == "bump":
+        amp, width = draw(st.floats(0.01, 0.05)), draw(st.floats(0.0015, 0.008))
+        f = f"exp(-{a}*t)+{amp:.4f}*exp(-((t-{w})/{width:.4f})^2)"
     else:
         f = f"exp(-{a}*t)*cos({w}*t)"
     return p.Depolarizing(p.ScalarFn.parse(f), dim=draw(st.sampled_from([2, 3])))
@@ -316,9 +328,9 @@ block_edge_n = st.sampled_from([16, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1])
 
 def _same_scan(e, horizon, n):
     with np.errstate(over="ignore"):  # the full square overflows below the diagonal
-        ref, ref_err = _outcome(lambda: _reference_scan(e, horizon, n))
-    grid, err = _outcome(lambda: p.scan_regions(e, horizon, n))
-    assert err is ref_err
+        ref, ref_err = _outcome_msg(lambda: _reference_scan(e, horizon, n))
+    grid, err = _outcome_msg(lambda: p.scan_regions(e, horizon, n))
+    assert err == ref_err
     if err is None:
         value, cls, regularized = ref
         assert grid.value.tobytes() == value.tobytes()
@@ -334,6 +346,54 @@ def _same_scan(e, horizon, n):
 )
 def test_blocked_scan_matches_full_square_scan(e, horizon, n):
     _same_scan(e, horizon, n)
+
+
+def _hand_written_depolarizing_maps(e):
+    """Depolarizing's dynamical_map, intermediate_map and intermediate_min_choi
+    as they were written before the diagonal base built them from f(t)."""
+
+    def dynamical_map(t):
+        return linalg.depolarizing_superoperator(e.dim, e.f_at(t))
+
+    def intermediate_map(s, t):
+        if not 0 <= s <= t:
+            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+        fs = e.f_at(s)
+        if abs(fs) <= F_ZERO_TOL:
+            raise UndefinedIntermediateMap(f"f({s}) = 0: the dynamical map is non-invertible at s={s}")
+        return linalg.depolarizing_superoperator(e.dim, e.f_at(t) / fs)
+
+    def intermediate_min_choi(s, t):
+        fs = e.f_at(s)
+        if abs(fs) <= F_ZERO_TOL:
+            raise UndefinedIntermediateMap(f"f({s}) = 0 at s={s}")
+        return (1.0 - e.f_at(t) / fs) / e.dim**2
+
+    return dynamical_map, intermediate_map, intermediate_min_choi
+
+
+def _bytes(x):
+    return x.matrix.tobytes() if isinstance(x, linalg.Superoperator) else np.float64(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=depolarizing_families(), times=st.lists(st.floats(0.0, HORIZON), min_size=2, max_size=2).map(sorted))
+# exp(-0.5 t) cos(2 t) vanishes at pi / 4: V_{t,s} is undefined there
+@example(e=p.Depolarizing(p.ScalarFn.parse("exp(-0.5*t)*cos(2*t)")), times=[math.pi / 4, 1.5])
+def test_depolarizing_maps_match_the_hand_written_ones(e, times):
+    s, t = times
+    old_dynamical, old_intermediate, old_min_choi = _hand_written_depolarizing_maps(e)
+    for x in (s, t):
+        assert _bytes(e.dynamical_map(x)) == _bytes(old_dynamical(x))
+    undefined = _outcome_msg(lambda: old_intermediate(s, t))[1]
+    for new, old in ((e.intermediate_map, old_intermediate), (e.intermediate_min_choi, old_min_choi)):
+        got, err = _outcome_msg(lambda: _bytes(new(s, t)))
+        want, want_err = _outcome_msg(lambda: _bytes(old(s, t)))
+        assert got == want
+        assert (err is None) == (want_err is None)
+        if err is not None:
+            assert err[0] is want_err[0]
+            assert err == undefined  # at f(s) = 0 both raise intermediate_map's message
 
 
 def test_dense_fallback_scan_matches_full_square_scan():

@@ -165,10 +165,8 @@ def test_core_revival_scales_inversely_with_f_at_T(catalog):
 def test_rhp_invariant_under_core_extraction(name, catalog):
     e, horizon, ct = catalog[name]
     core = p.extract_pnm_core(e, ct.T)
-    # the core start can be clamped, so align horizons by the actual shift
-    shift = (e.t0 - core.t0) if isinstance(e, p.QuasiEternal) else ct.T
     parent = p.rhp_measure(e, horizon)
-    child = p.rhp_measure(core, horizon - shift)
+    child = p.rhp_measure(core, horizon - ct.T)
     if math.isinf(parent):
         assert math.isinf(child)
     else:
