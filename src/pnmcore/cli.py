@@ -266,6 +266,26 @@ def _measures_dict(rep: MeasureReport) -> dict:
 _JSON_HEAD = '{\n  "horizon": %s,\n  "n": %s,\n  "regularized": %s,\n  "cells": ['
 _JSON_CELL = '    {\n      "s": %s,\n      "t": %%s,\n      "value": %%s,\n      "class": "%%s"\n    }'
 
+CSV_BLOCK = 8192  # cells per CSV block, rounded up to whole scan rows: bounds its buffers
+_NEAR_TIE = 1e-3  # |frac - 1/2| at or below it: the fast digits might round the wrong way
+_VALUE_WIDTH = 19  # len("%.11e" % x) is at most 19, as in "-1.79769313486e+308"
+
+
+def _words(strings) -> np.ndarray:
+    """The ASCII strings NUL-padded to a whole number of 4-byte words, as
+    one void item each: numpy copies those fastest."""
+    table = np.array(list(strings), dtype="S")
+    width = -(-table.itemsize // 4) * 4
+    return table.astype(f"S{width}").view(f"V{width}")
+
+
+# 10^k, k = -88..110, each correctly rounded: y = |x| 10^(11 - e) for |e| < 100
+_POW10 = np.array([float(f"1e{k}") for k in range(-88, 111)])
+_DDD = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)  # "000".."999"
+_DIGITS = np.pad(_DDD, ((0, 0), (0, 1))).view("V4")[:, 0]  # "DDD" and a NUL
+_LEAD = np.insert(_DDD, 1, ord("."), axis=1).view("V4")[:, 0]  # "D.DD"
+_EXPONENT = _words("e%+03d" % k for k in range(-99, 100))
+
 
 def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
     """Serialize the scan grid.
@@ -277,34 +297,89 @@ def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
 
 
 def _export_rows(grid: CptpGrid, fmt: str):
-    """export_grid as a stream of strings: the header, then one string per
-    scan row s_i made by a single %-format, then the trailer."""
-    if fmt not in ("csv", "json"):
-        raise SchemaError(f"unknown format {fmt!r}", "/format")
-    n, times = grid.n, grid.times.tolist()
-    names = np.array([CLASS_NAMES[c] for c in range(len(CLASS_NAMES))], dtype=object)
+    """export_grid as a stream of strings: the header, then the cells in
+    blocks of whole scan rows (CSV) or one string per scan row made by a
+    single %-format (JSON), then the trailer."""
     if fmt == "csv":
-        stamps = ["%.11e" % t for t in times]
         yield "s,t,value,class\n"
-        cell, lead, row_sep = "%s,%%s,%%.11e,%%s\n", "", ""
-    else:
-        if not np.all(np.isfinite(grid.times)):
-            raise ValueError("Out of range float values are not JSON compliant")
-        stamps = [repr(t) for t in times]
-        dump = lambda x: json.dumps(x, allow_nan=False)
-        yield _JSON_HEAD % (dump(grid.horizon), dump(n), dump(grid.regularized))
-        cell, lead, row_sep = _JSON_CELL, "\n", ",\n"
+        yield from _csv_blocks(grid)
+        return
+    if fmt != "json":
+        raise SchemaError(f"unknown format {fmt!r}", "/format")
+    if not np.all(np.isfinite(grid.times)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    n, stamps = grid.n, [repr(t) for t in grid.times.tolist()]
+    names = np.array([CLASS_NAMES[c] for c in range(len(CLASS_NAMES))], dtype=object)
+    dump = lambda x: json.dumps(x, allow_nan=False)
+    yield _JSON_HEAD % (dump(grid.horizon), dump(n), dump(grid.regularized))
     cells = np.empty((n, 3), dtype=object)  # (t, value, class) of row i in cells[i:]
     cells[:, 0] = stamps
     for i in range(n):
         row, value = cells[i:], grid.value[i, i:]
         row[:, 1] = value
         row[:, 2] = names[grid.cls[i, i:]]
-        if fmt == "json":
-            row[~np.isfinite(value), 1] = "null"
-        yield (row_sep if i else lead) + row_sep.join([cell % stamps[i]] * (n - i)) % tuple(row.ravel())
-    if fmt == "json":
-        yield "\n  ]\n}\n" if n else "]\n}\n"
+        row[~np.isfinite(value), 1] = "null"
+        yield (",\n" if i else "\n") + ",\n".join([_JSON_CELL % stamps[i]] * (n - i)) % tuple(row.ravel())
+    yield "\n  ]\n}\n" if n else "]\n}\n"
+
+
+def _csv_blocks(grid: CptpGrid):
+    """The CSV lines of the s <= t cells, one ASCII string per block of about
+    CSV_BLOCK cells.  A block's lines are built in one (cells, width) byte
+    matrix, field by field from tables, with NUL padding that one compress
+    strips."""
+    n, stamps = grid.n, ["%.11e," % t for t in grid.times.tolist()]
+    w, stamps = max(map(len, stamps), default=0), _words(stamps)
+    names = _words(",%s\n" % CLASS_NAMES[c] for c in range(len(CLASS_NAMES)))
+    starts = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])  # first cell of each row
+    r0 = 0
+    while r0 < n:
+        r1 = min(n, int(np.searchsorted(starts, starts[r0] + CSV_BLOCK)))
+        rows, cols = np.nonzero(np.arange(n) >= np.arange(r0, r1)[:, None])
+        rows += r0
+        # fields left to right: the padding words of one spill into the next
+        buf = np.zeros((len(rows), 2 * w + _VALUE_WIDTH + names.itemsize), dtype=np.uint8)
+        _put(buf, 0, stamps, rows)
+        _put(buf, w, stamps, cols)
+        _encode_values(grid.value[rows, cols], buf[:, 2 * w : 2 * w + _VALUE_WIDTH])
+        _put(buf, 2 * w + _VALUE_WIDTH, names, grid.cls[rows, cols])
+        flat = buf.ravel()
+        yield flat[flat != 0].tobytes().decode("ascii")
+        r0 = r1
+
+
+def _put(buf: np.ndarray, start: int, table: np.ndarray, index: np.ndarray):
+    """Write table[index] into the columns of buf from start, through a 1-D
+    void view of them."""
+    buf[:, start : start + table.itemsize].view(table.dtype)[:, 0] = table.take(index)
+
+
+def _encode_values(x: np.ndarray, out: np.ndarray):
+    """Write "%.11e" % x, NUL-padded, into the rows of out, shape (len(x),
+    _VALUE_WIDTH).  With e = floor(log10 |x|), y = |x| 10^(11 - e) is within
+    3e-4 of its true value (two roundings), so rint(y) is the 12-digit
+    mantissa wherever y is not that close to a tie or to 10^12 (a carry into
+    the exponent); Python formats those cells, and 0, -0.0, nan, inf and
+    |e| >= 100."""
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        fast = np.abs(e) < 100  # False for 0, nan and inf
+        e = np.where(fast, e, 0.0).astype(np.int64)
+        y = a * _POW10[99 - e]
+        m = np.rint(y)
+        fast &= (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.5 - _NEAR_TIE)
+    q, g4 = np.divmod(np.where(fast, m, 1e11).astype(np.int64), 1000)
+    q, g3 = np.divmod(q, 1000)
+    g1, g2 = np.divmod(q, 1000)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    # "-" "D.DD" "DDD" "DDD" "DDD" "e+XX": the NUL after each "DDD" is overwritten
+    for start, table, index in (
+        (1, _LEAD, g1), (5, _DIGITS, g2), (8, _DIGITS, g3), (11, _DIGITS, g4), (14, _EXPONENT, e + 99)
+    ):
+        _put(out, start, table, index)
+    slow = np.flatnonzero(~fast)
+    out.view(f"S{_VALUE_WIDTH}")[slow, 0] = ["%.11e" % v for v in x[slow].tolist()]
 
 
 def _write(chunks, out: Optional[str]):

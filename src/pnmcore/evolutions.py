@@ -11,6 +11,7 @@ runs on those; their dense maps are built from the same eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -106,8 +107,9 @@ class Evolution:
         g = self.rates(ts)
         return None if g is None else np.min(g, axis=-1)
 
-    def rates(self, ts) -> Optional[np.ndarray]:
-        """gamma_i(ts), shape (..., 3), for families given by rate expressions, else None."""
+    def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
+        """gamma(ts), shape (..., 3), or gamma_i(ts) alone, shape ts.shape,
+        for families given by rate expressions, else None."""
         return None
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
@@ -273,10 +275,11 @@ class PauliRates(PauliDiagonal):
         ix, iy, iz = (integral(ts) for integral in self._integrals)
         return np.stack([-2.0 * (iy + iz), -2.0 * (ix + iz), -2.0 * (ix + iy)], axis=-1)
 
-    def rates(self, ts) -> np.ndarray:
+    def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
+        if i is None:
+            return np.stack([self.rates(ts, k) for k in range(3)], -1)
         ts = np.asarray(ts, dtype=float)
-        fns = (self.g_x, self.g_y, self.g_z)
-        g = np.stack([np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape) for fn in fns], -1)
+        g = np.broadcast_to(np.asarray((self.g_x, self.g_y, self.g_z)[i](ts), dtype=float), ts.shape)
         return np.where(np.isfinite(g), g, 0.0)
 
 
@@ -364,8 +367,8 @@ class ShiftedEvolution(Evolution):
     def rate_min(self, ts) -> Optional[np.ndarray]:
         return self.parent.rate_min(np.add(ts, self.shift))
 
-    def rates(self, ts) -> Optional[np.ndarray]:
-        return self.parent.rates(np.add(ts, self.shift))
+    def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
+        return self.parent.rates(np.add(ts, self.shift), i)
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         t = self.parent.non_bijective_time(horizon + self.shift)
@@ -380,10 +383,15 @@ class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
     def map_eigenvalues(self, ts) -> np.ndarray:
         return self.parent.intermediate_eigenvalues(self.shift, np.add(ts, self.shift))
 
+    @functools.cached_property
+    def _log_at_shift(self) -> np.ndarray:
+        """log |lambda(shift)|, once per core; raises SingularMap, on every
+        access, where lambda(shift) vanishes."""
+        self.map_eigenvalues(0.0)
+        return self.parent.log_map_eigenvalues(self.shift)
+
     def log_map_eigenvalues(self, ts) -> np.ndarray:
-        self.map_eigenvalues(0.0)  # raises SingularMap where lambda(shift) vanishes
-        at_shift = self.parent.log_map_eigenvalues(self.shift)
-        return self.parent.log_map_eigenvalues(np.add(ts, self.shift)) - at_shift
+        return self.parent.log_map_eigenvalues(np.add(ts, self.shift)) - self._log_at_shift
 
 
 def _log_cosh(x):

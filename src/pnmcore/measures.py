@@ -177,14 +177,18 @@ def _decrease(c: np.ndarray) -> float:
 
 
 def _rate_roots(e: Evolution, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sign changes of each rate column of g = e.rates(ts), bisected together."""
-    k, i = np.nonzero((g[:-1] < 0) != (g[1:] < 0))
-    lo, hi, neg = ts[k], ts[k + 1], g[k, i] < 0
-    for _ in range(ROOT_STEPS if len(k) else 0):
-        mid = 0.5 * (lo + hi)
-        left = (e.rates(mid)[np.arange(len(k)), i] < 0) == neg
-        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+    """Sign changes of each rate column of g = e.rates(ts), each column
+    bisected with its own rate expression alone."""
+    roots = []
+    for i in range(g.shape[-1]):
+        k = np.flatnonzero((g[:-1, i] < 0) != (g[1:, i] < 0))
+        lo, hi, neg = ts[k], ts[k + 1], g[k, i] < 0
+        for _ in range(ROOT_STEPS if len(k) else 0):
+            mid = 0.5 * (lo + hi)
+            left = (e.rates(mid, i) < 0) == neg
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        roots.append(0.5 * (lo + hi))
+    return np.concatenate(roots)
 
 
 def _total_decrease(c, ts: np.ndarray) -> float:

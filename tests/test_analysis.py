@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore.analysis import CLASS_NAMES, CPTP, NONCPTP, REFINE_XTOL, UNDEFINED, CptpGrid
+from pnmcore.cli import _export_rows
 
 
 def test_scan_diagonal_is_cptp(catalog_grids):
@@ -72,6 +73,24 @@ def test_pauli_scan_memory_is_bounded_like_depolarizing():
     pauli = _scan_peak_bytes(p.QuasiEternal(alpha=0.1, t0=4.0), 40.0, 800)
     depolarizing = _scan_peak_bytes(p.make_preset("paper-example"), 2.5, 800)
     assert pauli <= 1.5 * depolarizing
+
+
+def _csv_export_peak_bytes(grid):
+    tracemalloc.start()
+    try:
+        for _ in _export_rows(grid, "csv"):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_export_memory_is_bounded_by_one_block():
+    # the CSV lines are built a block of whole rows at a time, so the export
+    # holds one block's buffers whatever the grid size
+    for n in (800, 1600):
+        grid = p.scan_regions(p.make_preset("paper-example"), 2.5, n)
+        assert _csv_export_peak_bytes(grid) <= 8 * 2**20, n
 
 
 def test_min_value_location(catalog_grids):

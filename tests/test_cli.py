@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
@@ -195,20 +195,45 @@ SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2
 SPECIAL_VALUES += [-1e-300, 1e300, 1.7976931348623157e308]
 
 
-@settings(max_examples=150, deadline=None)
+def _export_values(kind, rng, n):
+    """(n, n) cell values that stress one part of the CSV value encoder."""
+    sign = rng.choice([-1.0, 1.0], (n, n))
+    if kind == "wide":  # 1e-320 to 1e300: mostly Python's own formatting
+        return sign * rng.random((n, n)) * 10.0 ** rng.uniform(-320, 300, (n, n))
+    if kind == "fast":  # 1e-11 to 1e33: the table path, 10^(11 - e) exact for e <= 11
+        return sign * rng.random((n, n)) * 10.0 ** rng.uniform(-10, 34, (n, n))
+    if kind == "ties":
+        # k / 2^(12 - d), k odd, in [10^d, 10^(d+1)): 13 significant digits
+        # ending in 5, an exact tie at the 12th digit (4097/4096 = 1.000244140625)
+        d = rng.integers(-3, 12, (n, n))
+        lo = 10.0**d * 2.0 ** (12 - d)
+        k = 2 * np.floor(rng.uniform(lo, 10 * lo) / 2) + 1
+        return sign * k / 2.0 ** (12 - d)
+    mantissa = rng.integers(10**11, 10**12, (n, n)).ravel().tolist()
+    exponent = rng.integers(-99, 100, (n, n)).ravel().tolist()
+    if kind == "near-ties":  # decimal ties the nearest double misses by under an ulp
+        text = [f"{str(m)[0]}.{str(m)[1:]}5e{e}" for m, e in zip(mantissa, exponent)]
+    else:  # "carries": 9.99999999999Xe, rounding into the next power of ten or not
+        text = [f"9.99999999999{m % 10}{m % 7}e{e}" for m, e in zip(mantissa, exponent)]
+    return sign * np.array([float(t) for t in text]).reshape(n, n)
+
+
+# a failing example is reported as drawn: shrinking 200-row grids takes minutes
+@settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
-    n=st.integers(16, 40),
-    horizon=st.one_of(st.integers(1, 50), st.floats(1e-3, 1e3)),
+    # one CSV block holds 8192 cells: 127 rows make 8128 cells, 128 make 8256
+    n=st.one_of(st.integers(16, 40), st.sampled_from([127, 128, 129, 200])),
+    # a horizon of 1e120 mixes 2- and 3-digit exponents in the time stamps
+    horizon=st.one_of(st.integers(1, 50), st.floats(1e-3, 1e3), st.sampled_from([1e99, 1e120, 1e-120])),
     regularized=st.booleans(),
+    kind=st.sampled_from(["wide", "fast", "ties", "near-ties", "carries"]),
     seed=st.integers(0, 2**32 - 1),
     extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
 )
-def test_export_grid_matches_per_cell_reference(n, horizon, regularized, seed, extra):
+def test_export_grid_matches_per_cell_reference(n, horizon, regularized, kind, seed, extra):
     rng = np.random.default_rng(seed)
     pool = np.array(SPECIAL_VALUES + extra)
-    # random mantissas and exponents from 1e-320 to 1e300, mixed with the pool
-    sign = rng.choice([-1.0, 1.0], (n, n))
-    value = sign * rng.random((n, n)) * 10.0 ** rng.uniform(-320, 300, (n, n))
+    value = _export_values(kind, rng, n)
     pick = rng.random((n, n)) < 0.3
     value[pick] = rng.choice(pool, pick.sum())
     value[np.tril_indices(n, -1)] = np.nan
@@ -220,7 +245,7 @@ def test_export_grid_matches_per_cell_reference(n, horizon, regularized, seed, e
         cls=rng.integers(0, len(CLASS_NAMES), (n, n)).astype(np.int8),
         regularized=regularized,
     )
-    for fmt in ("csv", "json"):
+    for fmt in ("csv", "json") if n <= 40 else ("csv",):  # JSON is written row by row
         assert export_grid(grid, fmt) == _reference_export(grid, fmt), fmt
 
 

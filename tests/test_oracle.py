@@ -198,6 +198,9 @@ def test_shifted_core_over_singular_parent_raises_singular_map_on_both_paths():
         p.evolve_pair(core, pair, 0.5)
     with pytest.raises(SingularMap):
         p.rhp_measure(core, HORIZON)
+    for _ in range(2):  # lambda(shift) is checked once per core, yet raises on every call
+        with pytest.raises(SingularMap, match="not invertible at s=1.0"):
+            core.log_map_eigenvalues(0.5)
 
 
 def test_extracted_pauli_cores_take_the_array_path():
