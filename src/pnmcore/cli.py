@@ -53,6 +53,7 @@ from .measures import MeasureReport, eb_time_qubit, measure_report
 DEFAULT_HORIZON = 5.0
 DEFAULT_GRID = 400
 MAX_GRID = 2048  # scan and export memory grow as grid_points**2
+MAX_DIM = 32  # the measures build dim^2 x dim^2 maps: about 85 MB at 32, 800 MB at 64
 
 _CONFIG_FIELDS = {"evolution", "horizon", "grid_points", "tolerances", "outputs", "seed"}
 _EVOLUTION_FIELDS = {
@@ -115,8 +116,8 @@ def _build_evolution(spec: dict, strict: bool) -> Evolution:
     numbers = ("alpha", "t0", "t_unitary")
     params = {k: _field(spec, k, None, float, "/evolution") for k in numbers if k in spec}
     params["dim"] = _field(spec, "dim", 2, int, "/evolution")
-    if params["dim"] < 2:
-        raise SchemaError("dim must be at least 2", "/evolution/dim")
+    if not 2 <= params["dim"] <= MAX_DIM:
+        raise SchemaError(f"dim must be from 2 to {MAX_DIM}", "/evolution/dim")
     if "preset" in spec:
         if spec["preset"] not in PRESET_NAMES:
             raise SchemaError(f"unknown preset {spec['preset']!r}", "/evolution/preset")
@@ -264,11 +265,12 @@ def _measures_dict(rep: MeasureReport) -> dict:
 
 
 _JSON_HEAD = '{\n  "horizon": %s,\n  "n": %s,\n  "regularized": %s,\n  "cells": ['
-_JSON_CELL = '    {\n      "s": %s,\n      "t": %%s,\n      "value": %%s,\n      "class": "%%s"\n    }'
+_JSON_CELL = ',\n    {\n      "s": %s,\n      "t": ', '%s,\n      "value": ', ',\n      "class": "%s"\n    }'
 
-CSV_BLOCK = 8192  # cells per CSV block, rounded up to whole scan rows: bounds its buffers
+CSV_BLOCK = 8192  # cells per export block, rounded up to whole scan rows: bounds its buffers
 _NEAR_TIE = 1e-3  # |frac - 1/2| at or below it: the fast digits might round the wrong way
 _VALUE_WIDTH = 19  # len("%.11e" % x) is at most 19, as in "-1.79769313486e+308"
+_JSON_WIDTH = 42  # sign, "0.000", 17 digits each followed by a ".", and _DOTTED's padding
 
 
 def _words(strings) -> np.ndarray:
@@ -285,6 +287,15 @@ _DDD = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint
 _DIGITS = np.pad(_DDD, ((0, 0), (0, 1))).view("V4")[:, 0]  # "DDD" and a NUL
 _LEAD = np.insert(_DDD, 1, ord("."), axis=1).view("V4")[:, 0]  # "D.DD"
 _EXPONENT = _words("e%+03d" % k for k in range(-99, 100))
+_TENS = 10 ** np.arange(18)  # int64
+_DOTTED = np.pad(np.insert(_DDD, [1, 2, 3], ord("."), axis=1), ((0, 0), (0, 2))).view("V8")[:, 0]  # "D.D.D."
+# JSON value columns: a sign, "0.000", then 17 digits each followed by ".".
+# For decimal point position dp and sig significant digits, column c shows
+# where lo <= dp <= hi or sig > more; _KEEP is that 0/255 mask, dp -3..16, sig 1..17.
+_RULES = [(-99, 99, 99), (-99, 0, 99), (-99, 0, 99), (-99, -1, 99), (-99, -2, 99), (-99, -3, 99)]
+_lo, _hi, _more = np.array(_RULES + [r for i in range(17) for r in ((i, 99, i), (i + 1, i + 1, 99))]).T
+_dp, _sig = np.arange(-3, 17)[:, None, None], np.arange(1, 18)[:, None]
+_KEEP = (255 * (((_dp >= _lo) & (_dp <= _hi)) | (_sig > _more))).astype(np.uint8).reshape(340, 40).view("V40")[:, 0]
 
 
 def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
@@ -298,53 +309,50 @@ def export_grid(grid: CptpGrid, fmt: str = "csv") -> str:
 
 def _export_rows(grid: CptpGrid, fmt: str):
     """export_grid as a stream of strings: the header, then the cells in
-    blocks of whole scan rows (CSV) or one string per scan row made by a
-    single %-format (JSON), then the trailer."""
+    blocks of whole scan rows, then the trailer."""
+    names = [CLASS_NAMES[c] for c in range(len(CLASS_NAMES))]
     if fmt == "csv":
+        stamps = ["%.11e," % t for t in grid.times.tolist()]
         yield "s,t,value,class\n"
-        yield from _csv_blocks(grid)
+        yield from _blocks(grid, stamps, stamps, _encode_values, _VALUE_WIDTH, [",%s\n" % c for c in names])
         return
     if fmt != "json":
         raise SchemaError(f"unknown format {fmt!r}", "/format")
     if not np.all(np.isfinite(grid.times)):
         raise ValueError("Out of range float values are not JSON compliant")
-    n, stamps = grid.n, [repr(t) for t in grid.times.tolist()]
-    names = np.array([CLASS_NAMES[c] for c in range(len(CLASS_NAMES))], dtype=object)
+    s, t = ([f % repr(x) for x in grid.times.tolist()] for f in _JSON_CELL[:2])
+    # a JSON cell is 2.5 times a CSV line: half the cells keep a block's bytes alike
+    blocks = _blocks(grid, s, t, _encode_repr, _JSON_WIDTH, [_JSON_CELL[2] % c for c in names], CSV_BLOCK // 2)
     dump = lambda x: json.dumps(x, allow_nan=False)
-    yield _JSON_HEAD % (dump(grid.horizon), dump(n), dump(grid.regularized))
-    cells = np.empty((n, 3), dtype=object)  # (t, value, class) of row i in cells[i:]
-    cells[:, 0] = stamps
-    for i in range(n):
-        row, value = cells[i:], grid.value[i, i:]
-        row[:, 1] = value
-        row[:, 2] = names[grid.cls[i, i:]]
-        row[~np.isfinite(value), 1] = "null"
-        yield (",\n" if i else "\n") + ",\n".join([_JSON_CELL % stamps[i]] * (n - i)) % tuple(row.ravel())
-    yield "\n  ]\n}\n" if n else "]\n}\n"
+    # every cell opens with ",\n": the first one's comma is dropped
+    yield _JSON_HEAD % (dump(grid.horizon), dump(grid.n), dump(grid.regularized)) + next(blocks, ",")[1:]
+    yield from blocks
+    yield "\n  ]\n}\n" if grid.n else "]\n}\n"
 
 
-def _csv_blocks(grid: CptpGrid):
-    """The CSV lines of the s <= t cells, one ASCII string per block of about
-    CSV_BLOCK cells.  A block's lines are built in one (cells, width) byte
-    matrix, field by field from tables, with NUL padding that one compress
-    strips."""
-    n, stamps = grid.n, ["%.11e," % t for t in grid.times.tolist()]
-    w, stamps = max(map(len, stamps), default=0), _words(stamps)
-    names = _words(",%s\n" % CLASS_NAMES[c] for c in range(len(CLASS_NAMES)))
+def _blocks(grid: CptpGrid, first, second, encode, width: int, names, size: int = CSV_BLOCK):
+    """The s <= t cells, one ASCII string per block of at least size cells,
+    each cell first[i] second[j] value class.  A block's cells are built in
+    one (cells, columns) byte matrix, field by field from tables, with NUL
+    padding that one translate strips."""
+    n, w1, w2 = grid.n, max(map(len, first), default=0), max(map(len, second), default=0)
+    first, second, names = _words(first), _words(second), _words(names)
     starts = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])  # first cell of each row
     r0 = 0
     while r0 < n:
-        r1 = min(n, int(np.searchsorted(starts, starts[r0] + CSV_BLOCK)))
+        r1 = min(n, int(np.searchsorted(starts, starts[r0] + size)))
         rows, cols = np.nonzero(np.arange(n) >= np.arange(r0, r1)[:, None])
         rows += r0
         # fields left to right: the padding words of one spill into the next
-        buf = np.zeros((len(rows), 2 * w + _VALUE_WIDTH + names.itemsize), dtype=np.uint8)
-        _put(buf, 0, stamps, rows)
-        _put(buf, w, stamps, cols)
-        _encode_values(grid.value[rows, cols], buf[:, 2 * w : 2 * w + _VALUE_WIDTH])
-        _put(buf, 2 * w + _VALUE_WIDTH, names, grid.cls[rows, cols])
-        flat = buf.ravel()
-        yield flat[flat != 0].tobytes().decode("ascii")
+        data = bytearray(len(rows) * (w1 + w2 + width + names.itemsize))  # zeros
+        buf = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), -1)
+        _put(buf, 0, first, rows)
+        _put(buf, w1, second, cols)
+        encode(grid.value[rows, cols], buf[:, w1 + w2 : w1 + w2 + width])
+        _put(buf, w1 + w2 + width, names, grid.cls[rows, cols])
+        del buf  # the padded bytes go before the text is made
+        data = data.translate(None, b"\0")
+        yield data.decode("ascii")
         r0 = r1
 
 
@@ -380,6 +388,73 @@ def _encode_values(x: np.ndarray, out: np.ndarray):
         _put(out, start, table, index)
     slow = np.flatnonzero(~fast)
     out.view(f"S{_VALUE_WIDTH}")[slow, 0] = ["%.11e" % v for v in x[slow].tolist()]
+
+
+def _encode_repr(x: np.ndarray, out: np.ndarray):
+    """Write repr(x), or null where x is not finite, NUL-padded, into the rows
+    of out, shape (len(x), _JSON_WIDTH): the shortest round-trip digits in
+    the positional layout, masked out of "-0.000D.D.D..." by _KEEP.  Python
+    formats 0, -0.0, the exponent layout and the non-finite cells."""
+    a = np.abs(x)
+    fast = np.isfinite(a) & (a > 0)
+    d, k = _shortest_digits(np.where(fast, a, 1.0))
+    nd = np.searchsorted(_TENS, d, side="right")  # d has nd digits: d 10^k = 0.d 10^dp
+    dp = k + nd
+    fast &= (dp > -4) & (dp <= 16)
+    hi, lo = np.divmod(d * _TENS[17 - nd], 10**9)  # 17 digits, left-aligned
+    for g, index in enumerate((hi // 10**6, hi // 1000 % 1000, hi % 1000, lo // 10**6, lo // 1000 % 1000, lo % 1000)):
+        _put(out, 4 + 6 * g, _DOTTED, index)  # the first group's "0." is overwritten below
+    out[:, 1:6] = np.frombuffer(b"0.000", np.uint8)
+    sig = 17 - np.argmax(out[:, 38:5:-2] != ord("0"), axis=1)
+    out[:, :40] &= _KEEP.take(np.where(fast, dp, 1) * 17 + sig + 50).view(np.uint8).reshape(-1, 40)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    slow = np.flatnonzero(~fast)
+    out.view(f"S{_JSON_WIDTH}")[slow, 0] = [repr(v) if math.isfinite(v) else "null" for v in x[slow].tolist()]
+
+
+@functools.lru_cache(maxsize=1)  # built on first JSON use, about 2 ms
+def _pow10_g():
+    """Schubfach's g for 10^e, e = -292..324, as (g >> 63, g mod 2^63): g =
+    floor(10^e 2^-r) + 1 with r = floor(e log2 10) - 125, so 2^125 < g <= 2^126."""
+    er = [(e, (e * 913124641741 >> 38) - 125) for e in range(-292, 325)]
+    g = [(10 ** max(e, 0) << max(-r, 0)) // (10 ** max(-e, 0) << max(r, 0)) + 1 for e, r in er]
+    return np.array([divmod(v, 2**63) for v in g], dtype=np.uint64).T
+
+
+def _mulhi(a1: np.ndarray, a0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the products (a1 2^32 + a0) b, uint64, in 32-bit limbs."""
+    b1, b0 = b >> 32, b & np.uint64(2**32 - 1)
+    t = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (t >> 32) + ((t & np.uint64(2**32 - 1)) + a0 * b1 >> 32)
+
+
+def _shortest_digits(a: np.ndarray):
+    """(d, k): d 10^k is the shortest decimal that rounds to the finite a > 0,
+    the nearest to a among those, ties to even d; d may end in zeros.  This is
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) as in
+    Java's DoubleToDecimal, without its two-digit minimum, in uint64."""
+    bits = a.view(np.uint64)
+    bq, frac = (bits >> 52).astype(np.int64), bits & np.uint64(2**52 - 1)
+    c, q = np.where(bq > 0, frac | np.uint64(2**52), frac), np.maximum(bq, 1) - 1075  # a = c 2^q
+    irregular = (frac == 0) & (bq > 1)  # a power of two: the gap below is half the gap above
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of (3/4) 2^q
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g1, g0 = (t[292 - k] for t in _pow10_g())
+    limbs = g1 >> 32, g1 & np.uint64(2**32 - 1), g0 >> 32, g0 & np.uint64(2**32 - 1)
+
+    def rop(cp):  # cp g 2^-127 rounded to odd, g = g1 2^63 + g0
+        z = (g1 * cp >> 1) + _mulhi(*limbs[2:], cp)
+        return ((_mulhi(*limbs[:2], cp) + (z >> 63)) | ((z & np.uint64(2**63 - 1)) != 0)).astype(np.int64)
+
+    cb, odd = c << 2, (c & 1).astype(np.int64)  # an odd c leaves out the ends of its rounding interval
+    vb, vbl, vbr = rop(cb << h), rop(cb - 2 + irregular.astype(np.uint64) << h), rop(cb + 2 << h)
+    s = vb >> 2
+    sp = s // 10 * 10  # one digit fewer: sp or sp + 10, if just one of them rounds to a
+    upin, wpin = vbl + odd <= sp << 2, (sp + 10 << 2) + odd <= vbr
+    uin, win = vbl + odd <= s << 2, (s + 1 << 2) + odd <= vbr
+    cmp = vb - (2 * s + 1 << 1)
+    lower = np.where(uin != win, uin, (cmp < 0) | (cmp == 0) & (s & 1 == 0))
+    return np.where(upin != wpin, np.where(upin, sp, sp + 10), np.where(lower, s, s + 1)), k
 
 
 def _write(chunks, out: Optional[str]):

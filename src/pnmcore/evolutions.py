@@ -38,6 +38,9 @@ def t0_alpha(alpha: float) -> float:
         raise ValueError("alpha must be positive")
     if alpha >= 1:
         return 0.0
+    if 1.0 / alpha > 1023:  # 2^(1/alpha) overflows: log(e^x - 1) = x + log(1 - e^-x), x = ln 2 / alpha
+        x = math.log(2.0) / alpha
+        return (x + math.log(-math.expm1(-x))) / 2.0
     return max(0.0, math.log(2.0 ** (1.0 / alpha) - 1.0) / 2.0)
 
 

@@ -75,10 +75,10 @@ def test_pauli_scan_memory_is_bounded_like_depolarizing():
     assert pauli <= 1.5 * depolarizing
 
 
-def _csv_export_peak_bytes(grid):
+def _export_peak_bytes(grid, fmt):
     tracemalloc.start()
     try:
-        for _ in _export_rows(grid, "csv"):
+        for _ in _export_rows(grid, fmt):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -86,11 +86,12 @@ def _csv_export_peak_bytes(grid):
 
 
 def test_csv_export_memory_is_bounded_by_one_block():
-    # the CSV lines are built a block of whole rows at a time, so the export
-    # holds one block's buffers whatever the grid size
+    # the CSV lines and the JSON cells are built a block of whole rows at a
+    # time, so the export holds one block's buffers whatever the grid size
     for n in (800, 1600):
         grid = p.scan_regions(p.make_preset("paper-example"), 2.5, n)
-        assert _csv_export_peak_bytes(grid) <= 8 * 2**20, n
+        for fmt in ("csv", "json"):
+            assert _export_peak_bytes(grid, fmt) <= 8 * 2**20, (n, fmt)
 
 
 def test_min_value_location(catalog_grids):

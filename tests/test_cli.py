@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore.analysis import CLASS_NAMES, CptpGrid
-from pnmcore.cli import export_grid, load_config, main, run_report
+from pnmcore.cli import _JSON_WIDTH, _encode_repr, export_grid, load_config, main, run_report
 from pnmcore.errors import ParseError, SchemaError
 
 
@@ -196,7 +196,7 @@ SPECIAL_VALUES += [-1e-300, 1e300, 1.7976931348623157e308]
 
 
 def _export_values(kind, rng, n):
-    """(n, n) cell values that stress one part of the CSV value encoder."""
+    """(n, n) cell values that stress one part of the CSV or JSON value encoder."""
     sign = rng.choice([-1.0, 1.0], (n, n))
     if kind == "wide":  # 1e-320 to 1e300: mostly Python's own formatting
         return sign * rng.random((n, n)) * 10.0 ** rng.uniform(-320, 300, (n, n))
@@ -209,6 +209,8 @@ def _export_values(kind, rng, n):
         lo = 10.0**d * 2.0 ** (12 - d)
         k = 2 * np.floor(rng.uniform(lo, 10 * lo) / 2) + 1
         return sign * k / 2.0 ** (12 - d)
+    if kind == "short":  # few digits, positional in repr, integer-valued where rounded to 0 places
+        return np.round(sign * rng.random((n, n)) * 10.0 ** rng.integers(-3, 17, (n, n)), rng.integers(0, 6))
     mantissa = rng.integers(10**11, 10**12, (n, n)).ravel().tolist()
     exponent = rng.integers(-99, 100, (n, n)).ravel().tolist()
     if kind == "near-ties":  # decimal ties the nearest double misses by under an ulp
@@ -221,12 +223,13 @@ def _export_values(kind, rng, n):
 # a failing example is reported as drawn: shrinking 200-row grids takes minutes
 @settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
-    # one CSV block holds 8192 cells: 127 rows make 8128 cells, 128 make 8256
-    n=st.one_of(st.integers(16, 40), st.sampled_from([127, 128, 129, 200])),
+    # a CSV block holds 8192 cells: 127 rows make 8128 cells, 128 make 8256;
+    # a JSON block holds 4096: 90 rows make 4095, 91 make 4186
+    n=st.one_of(st.integers(16, 40), st.sampled_from([90, 91, 127, 128, 129, 200])),
     # a horizon of 1e120 mixes 2- and 3-digit exponents in the time stamps
     horizon=st.one_of(st.integers(1, 50), st.floats(1e-3, 1e3), st.sampled_from([1e99, 1e120, 1e-120])),
     regularized=st.booleans(),
-    kind=st.sampled_from(["wide", "fast", "ties", "near-ties", "carries"]),
+    kind=st.sampled_from(["wide", "fast", "ties", "near-ties", "carries", "short"]),
     seed=st.integers(0, 2**32 - 1),
     extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
 )
@@ -245,8 +248,29 @@ def test_export_grid_matches_per_cell_reference(n, horizon, regularized, kind, s
         cls=rng.integers(0, len(CLASS_NAMES), (n, n)).astype(np.int8),
         regularized=regularized,
     )
-    for fmt in ("csv", "json") if n <= 40 else ("csv",):  # JSON is written row by row
+    for fmt in ("csv", "json"):
         assert export_grid(grid, fmt) == _reference_export(grid, fmt), fmt
+
+
+# the ends of the subnormals, powers of two (a narrower gap below), the
+# positional / exponent switches of repr, 15- to 17-digit and integer values
+ENCODER_EDGES = [5e-324, 1e-323, 1.5e-323, 2.225073858507201e-308, 2.2250738585072014e-308]
+ENCODER_EDGES += [2.0**k for k in (-1074, -1022, -1, 0, 1, 52, 53, 54, 1023)] + [1.7976931348623157e308]
+ENCODER_EDGES += [1e-4, 9.999999999999999e-05, 1.0000000000000001e-4, 1e-5, 1e16, 9999999999999998.0, 1e17]
+ENCODER_EDGES += [0.1, 0.3, 2 / 3, 0.123456789012345, 0.1234567890123456, 0.12345678901234568, 1 / 3 * 1e-3]
+ENCODER_EDGES += [1.0, 2.0, 100.0, 123456.0, 9007199254740991.0, 9007199254740992.0, 1e15, 1e22, 5e-5]
+ENCODER_EDGES += [0.0, math.nan, math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats() | st.sampled_from(ENCODER_EDGES), min_size=1, max_size=64), negate=st.booleans())
+def test_json_value_encoder_matches_repr(values, negate):
+    x = np.array(values) * (-1.0 if negate else 1.0)
+    x = np.concatenate([x, ENCODER_EDGES, np.negative(ENCODER_EDGES)])
+    out = np.zeros((len(x), _JSON_WIDTH), dtype=np.uint8)
+    _encode_repr(x, out)
+    got = [bytes(row).replace(b"\0", b"").decode("ascii") for row in out]
+    assert got == [repr(v) if math.isfinite(v) else "null" for v in x.tolist()]
 
 
 def test_export_grid_rejects_unknown_format():
@@ -340,6 +364,8 @@ def test_cli_eb(capsys):
         ('{"evolution":{"preset":"eternal"},"horizon":null}', "/horizon"),
         ('{"evolution":{"preset":"eternal"},"grid_points":"x"}', "/grid_points"),
         ('{"evolution":{"type":"depolarizing","f":"exp(-t)","dim":1}}', "/evolution/dim"),
+        ('{"evolution":{"type":"depolarizing","f":"exp(-t)","dim":33}}', "/evolution/dim"),
+        ('{"evolution":{"preset":"paper-example","dim":1000000}}', "/evolution/dim"),
         ('{"evolution":{"preset":"eternal"},"outputs":"report"}', "/outputs"),
         ('{"evolution":{"preset":"eternal"},"tolerances":{"scan":"x"}}', "/tolerances/scan"),
         ('{"evolution":{"type":"quasiEternal","alpha":"x","t0":1}}', "/evolution/alpha"),
@@ -362,6 +388,20 @@ def test_grid_points_over_ceiling_exits_1(capsys):
     config = '{"evolution":{"preset":"eternal"},"grid_points":64}'
     assert main(["scan", "--config", config, "--grid", "2049"]) == 1
     assert "(at /grid_points)" in capsys.readouterr().err
+
+
+def test_quasi_eternal_with_tiny_alpha_is_analysed(capsys):
+    # 2^(1/alpha) overflows in the validity threshold t0(alpha); its log form
+    # does not, and agrees with the old expression where both are finite
+    config = '{"evolution":{"type":"quasiEternal","alpha":1e-300,"t0":1e300}}'
+    assert main(["analyze", "--config", config]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _strict_json(out)["classification"] == "Markovian"
+    assert p.t0_alpha(1e-300) == pytest.approx(math.log(2.0) / 2e-300)
+    assert p.t0_alpha(1 / 1023.5) == pytest.approx(1023.5 * math.log(2.0) / 2.0, rel=1e-15)
+    a = 1 / 1022.9
+    assert p.t0_alpha(a) == math.log(2.0 ** (1.0 / a) - 1.0) / 2.0
 
 
 def _strict_json(text):
