@@ -36,14 +36,12 @@ from .errors import (
 )
 from .evolutions import (
     Depolarizing,
-    DiagonalEvolution,
     Evolution,
     PauliDiagonal,
     PauliProbs,
     PauliRates,
     PRESET_NAMES,
     QuasiEternal,
-    ShiftedEvolution,
     ShiftedPauli,
     ValidationReport,
     make_preset,

@@ -2,9 +2,9 @@
 extraction.
 
 The scan classifies each sampled intermediate map as CPTP or not from the
-smallest eigenvalue of its Choi matrix (closed forms where the family has
-one).  The three characteristic times are found by a grid scan followed by
-bisection refinement of the relevant sign boundary.
+closed-form smallest eigenvalue of its Choi matrix.  The three
+characteristic times are found by a grid scan followed by bisection
+refinement of the relevant sign boundary.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PnmError, UndefinedIntermediateMap
-from .evolutions import (
-    Depolarizing,
-    DiagonalEvolution,
-    Evolution,
-    PauliDiagonal,
-    ShiftedEvolution,
-    ShiftedPauli,
-)
+from .evolutions import Depolarizing, Evolution, ShiftedPauli
 from .exprparse import numeric_derivative
 from .numerics import bisect_boundary, bisect_root
 
@@ -67,7 +60,6 @@ def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_T
         raise ValueError("need horizon > 0 and n >= 16")
     times = np.linspace(0.0, horizon, n)
     value = np.full((n, n), np.nan)  # unwritten cells stay NaN
-    undefined = np.zeros((n, n), dtype=bool)
     regularized = False
 
     if isinstance(e, Depolarizing) and e.non_bijective_time(horizon) is not None:
@@ -77,7 +69,7 @@ def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_T
         regularized = True
         np.divide(np.subtract(fs, ft, out=value), e.dim**2, out=value)
         undefined = np.broadcast_to(np.abs(fs) <= 1e-9, value.shape)
-    elif isinstance(e, DiagonalEvolution):
+    else:
         eig = e.map_eigenvalues(times)  # (n, m)
         # overflow too: a block's cells below the diagonal are discarded
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -86,13 +78,6 @@ def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_T
                 rows = slice(i0, i0 + SCAN_BLOCK)
                 value[rows, i0:] = e.min_choi(eig[None, i0:] / eig[rows, None])
         undefined = ~np.isfinite(value)
-    else:
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    value[i, j] = e.intermediate_min_choi(float(times[i]), float(times[j]))
-                except UndefinedIntermediateMap:
-                    undefined[i, j] = True
 
     lower = np.tri(n, k=-1, dtype=bool)
     value[lower] = np.nan
@@ -138,7 +123,7 @@ def _non_cptp(e: Evolution, ts: np.ndarray, step: float) -> np.ndarray:
     rm = e.rate_min(ts)
     if rm is not None:
         return rm < 0.0
-    scaled = lambda ts, eps: _min_choi(e, ts, ts + eps) / eps
+    scaled = lambda ts, eps: e.intermediate_min_choi(ts, ts + eps) / eps
     v1, v2 = scaled(ts, step), scaled(ts, step / 2.0)
     a, b = np.abs(v1), np.abs(v2)
     live = np.where(b < a, b, a) > SCAN_TOL  # not (min(a, b) <= SCAN_TOL), NaN as min() has it
@@ -207,24 +192,9 @@ def _depolarizing_T(e: Depolarizing, horizon: float, tau: float) -> float:
     return bisect_root(g, 0.0, tau, xtol=1e-7)
 
 
-def _min_choi(e: Evolution, s, t) -> np.ndarray:
-    """Smallest Choi eigenvalue of V_{t,s}, broadcast over arrays of s and t;
-    -inf where the map is undefined."""
-    if isinstance(e, DiagonalEvolution):
-        return e.intermediate_min_choi(s, t)
-    pairs = np.broadcast(s, t)
-    out = np.empty(pairs.shape)
-    for k, (a, b) in enumerate(pairs):
-        try:
-            out.flat[k] = e.intermediate_min_choi(float(a), float(b))
-        except UndefinedIntermediateMap:
-            out.flat[k] = -math.inf
-    return out
-
-
 def _condition_b(e: Evolution, T: float, t_grid: np.ndarray, tol: float) -> bool:
     """V_{t,T} CPTP for every grid t >= T."""
-    return not np.any(_min_choi(e, T, t_grid[t_grid >= T]) < -tol)
+    return not np.any(e.intermediate_min_choi(T, t_grid[t_grid >= T]) < -tol)
 
 
 def _first_failing(e: Evolution, cs: np.ndarray, t_grid: np.ndarray, lam, tol: float) -> Optional[int]:
@@ -232,7 +202,7 @@ def _first_failing(e: Evolution, cs: np.ndarray, t_grid: np.ndarray, lam, tol: f
     on t_grid, blocks of 2, 4, 8, ... candidates are each one (rows x n) ratio
     grid, until a block's lambda(T) raises or is singular; then one at a time."""
     i, rows = 0, 2
-    while lam is not None and i < len(cs):
+    while i < len(cs):
         block = cs[i : i + rows]
         try:
             at = e.map_eigenvalues(block)[:, None]
@@ -269,7 +239,7 @@ def compute_T_lambda(
         t_ab = cap
     else:
         # valid-(A and B) set is an interval [0, T_AB]: bracket then bisect
-        lam = e.map_eigenvalues(t_grid) if isinstance(e, DiagonalEvolution) else None
+        lam = e.map_eigenvalues(t_grid)
         b = lambda T: _first_failing(e, np.array([T]), t_grid, lam, tol) is None
         cs = np.linspace(0.0, cap, 65)[1:]
         hi = float(cs[_first_failing(e, cs, t_grid, lam, tol)])
@@ -313,7 +283,7 @@ def compute_t_star(
     delta = min((tau - T) / 4.0, (horizon / n) or 1e-3)
     s = T + delta
     ts = np.linspace(s, horizon, n)
-    bad = np.flatnonzero(_min_choi(e, s, ts[1:]) < -tol)
+    bad = np.flatnonzero(e.intermediate_min_choi(s, ts[1:]) < -tol)
     if not len(bad):
         return math.inf
     k = int(bad[0])
@@ -355,9 +325,8 @@ def characteristic_times(e: Evolution, horizon: float, n: int = 400) -> CharTime
 
 def extract_pnm_core(e: Evolution, T: float) -> Evolution:
     """The evolution t -> V_{t + T, T} as a first-class family: the parent
-    shifted by T, with f(t + T) / f(T) for a depolarizing parent,
-    lambda(t + T) / lambda(T) for a Pauli-diagonal one, and dense maps
-    otherwise."""
+    shifted by T, with f(t + T) / f(T) for a depolarizing parent and
+    lambda(t + T) / lambda(T) for a Pauli-diagonal one."""
     if T == 0:
         return e
     if not math.isfinite(T) or T < 0:
@@ -367,9 +336,7 @@ def extract_pnm_core(e: Evolution, T: float) -> Evolution:
         if f_at_T <= 1e-12:
             raise UndefinedIntermediateMap(f"f({T}) = 0: core undefined at or past t_NB")
         return Depolarizing(lambda ts: e.f(np.add(ts, T)) / f_at_T, dim=e.dim)
-    if isinstance(e, PauliDiagonal):
-        return ShiftedPauli(e, T)
-    return ShiftedEvolution(e, T)
+    return ShiftedPauli(e, T)
 
 
 def verify_composition_rules(grid: CptpGrid) -> int:

@@ -1,12 +1,11 @@
 """Dynamical-map families: depolarizing, Pauli (probability- and
-rate-driven), quasi-eternal, and time-shifted derived evolutions.
+rate-driven), quasi-eternal, and the cores shifted out of Pauli families.
 
-Every family exposes the dynamical map at time t and the intermediate map
-between two times, plus a closed-form smallest Choi eigenvalue wherever
-the family provides one (numeric inversion is only a fallback).  The
-built-in families are diagonal: they give their map eigenvalues, f(t) or
-lambda_x, lambda_y, lambda_z, for whole arrays of times, and the analysis
-runs on those; their dense maps are built from the same eigenvalues.
+Every family acts diagonally on a fixed operator basis: it gives its map
+eigenvalues, f(t) or lambda_x, lambda_y, lambda_z, for whole arrays of
+times, and a closed-form smallest Choi eigenvalue of the maps with given
+eigenvalues.  The analysis runs on those; the dense maps built from the
+same eigenvalues serve the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -83,52 +82,15 @@ def pauli_min_prob(lam):
 
 
 class Evolution:
-    """A one-parameter family of quantum maps."""
-
-    dim: int = 2
-
-    def dynamical_map(self, t: float) -> linalg.Superoperator:
-        raise NotImplementedError
-
-    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        """V_{t,s} with dynamical_map(t) = V_{t,s} ∘ dynamical_map(s)."""
-        if not 0 <= s <= t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        lam_s = self.dynamical_map(s)
-        lam_t = self.dynamical_map(t)
-        return linalg.compose_maps(lam_t, linalg.invert_map(lam_s))
-
-    def intermediate_min_choi(self, s: float, t: float) -> float:
-        """Smallest Choi eigenvalue of V_{t,s}."""
-        return linalg.min_choi_eigenvalue(self.intermediate_map(s, t))
-
-    def is_unitary_at(self, t: float) -> bool:
-        return linalg.is_unitary_map(self.dynamical_map(t), 1e-9)
-
-    def rate_min(self, ts) -> Optional[np.ndarray]:
-        """min_i gamma_i(ts) for rate-driven families, else None."""
-        g = self.rates(ts)
-        return None if g is None else np.min(g, axis=-1)
-
-    def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
-        """gamma(ts), shape (..., 3), or gamma_i(ts) alone, shape ts.shape,
-        for families given by rate expressions, else None."""
-        return None
-
-    def non_bijective_time(self, horizon: float) -> Optional[float]:
-        """First time in (0, horizon] where the dynamical map loses its
-        inverse, if any."""
-        return None
-
-
-class DiagonalEvolution(Evolution):
-    """A family acting diagonally on a fixed operator basis.  Subclasses give
-    `map_eigenvalues(ts)` with shape (..., m) for a float or an array of
-    times; for maps with eigenvalues lam, the smallest Choi eigenvalue
-    `min_choi(lam)` and the dense map `superoperator(lam)`; and `singular(s)`,
-    the error for V_{t,s} where lambda(s) vanishes.  V_{t,s} has
+    """A one-parameter family of quantum maps acting diagonally on a fixed
+    operator basis.  Subclasses give `map_eigenvalues(ts)` with shape (..., m)
+    for a float or an array of times; for maps with eigenvalues lam, the
+    smallest Choi eigenvalue `min_choi(lam)` and the dense map
+    `superoperator(lam)`; `singular(s)`, the error for V_{t,s} where
+    lambda(s) vanishes; and `is_unitary_at(t)`.  V_{t,s} has
     lambda(t) / lambda(s)."""
 
+    dim: int = 2
     singular_tol = -math.inf  # |lambda(s)| at or below it: V_{t,s} is not defined
 
     def log_map_eigenvalues(self, ts) -> np.ndarray:
@@ -156,14 +118,31 @@ class DiagonalEvolution(Evolution):
         return self.superoperator(self.dynamical_eigenvalues(t))
 
     def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
+        """V_{t,s} with dynamical_map(t) = V_{t,s} ∘ dynamical_map(s)."""
         return self.superoperator(self.intermediate_eigenvalues(s, t))
 
     def intermediate_min_choi(self, s, t):
+        """Smallest Choi eigenvalue of V_{t,s}, broadcast over s and t."""
         return self.min_choi(self.intermediate_eigenvalues(s, t))
+
+    def rate_min(self, ts) -> Optional[np.ndarray]:
+        """min_i gamma_i(ts) for rate-driven families, else None."""
+        g = self.rates(ts)
+        return None if g is None else np.min(g, axis=-1)
+
+    def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
+        """gamma(ts), shape (..., 3), or gamma_i(ts) alone, shape ts.shape,
+        for families given by rate expressions, else None."""
+        return None
+
+    def non_bijective_time(self, horizon: float) -> Optional[float]:
+        """First time in (0, horizon] where the dynamical map loses its
+        inverse, if any."""
+        return None
 
 
 @dataclass(frozen=True)
-class Depolarizing(DiagonalEvolution):
+class Depolarizing(Evolution):
     """rho -> f(t) rho + (1 - f(t)) Tr[rho] 1/d, the one map eigenvalue f(t)."""
 
     f: ScalarFn  # or any function of a float or an array of times, as a core's f(t + T) / f(T)
@@ -202,7 +181,7 @@ class Depolarizing(DiagonalEvolution):
         return find_first_zero(self.f, horizon)
 
 
-class PauliDiagonal(DiagonalEvolution):
+class PauliDiagonal(Evolution):
     """A qubit family sigma_k -> lambda_k(t) sigma_k, m = 3: lambda_x,
     lambda_y, lambda_z."""
 
@@ -345,27 +324,21 @@ class QuasiEternal(PauliDiagonal):
 
 
 @dataclass(frozen=True)
-class ShiftedEvolution(Evolution):
-    """The derived evolution t -> V_{t + shift, shift} of a parent family:
-    the dense core of a parent that is not diagonal."""
+class ShiftedPauli(PauliDiagonal):
+    """The core t -> V_{t + shift, shift} of a Pauli-diagonal parent, with
+    map eigenvalues lambda(t + shift) / lambda(shift).  Its intermediate
+    maps are the parent's."""
 
-    parent: Evolution
+    parent: PauliDiagonal
     shift: float
 
-    @property
-    def dim(self) -> int:  # type: ignore[override]
-        return self.parent.dim
+    def map_eigenvalues(self, ts) -> np.ndarray:
+        return self.parent.intermediate_eigenvalues(self.shift, np.add(ts, self.shift))
 
-    def dynamical_map(self, t: float) -> linalg.Superoperator:
-        return self.parent.intermediate_map(self.shift, t + self.shift)
-
-    def intermediate_map(self, s: float, t: float) -> linalg.Superoperator:
-        if not 0 <= s <= t:
+    def intermediate_eigenvalues(self, s, t) -> np.ndarray:
+        if not (np.all(0 <= np.asarray(s)) and np.all(np.asarray(s) <= t)):
             raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        return self.parent.intermediate_map(s + self.shift, t + self.shift)
-
-    def intermediate_min_choi(self, s: float, t: float) -> float:
-        return self.parent.intermediate_min_choi(s + self.shift, t + self.shift)
+        return self.parent.intermediate_eigenvalues(np.add(s, self.shift), np.add(t, self.shift))
 
     def rate_min(self, ts) -> Optional[np.ndarray]:
         return self.parent.rate_min(np.add(ts, self.shift))
@@ -376,15 +349,6 @@ class ShiftedEvolution(Evolution):
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         t = self.parent.non_bijective_time(horizon + self.shift)
         return t - self.shift if t is not None and t > self.shift else None
-
-
-class ShiftedPauli(ShiftedEvolution, PauliDiagonal):
-    """The core of a Pauli-diagonal parent, with map eigenvalues
-    lambda(t + shift) / lambda(shift).  Its dense maps come from the
-    parent's intermediate maps."""
-
-    def map_eigenvalues(self, ts) -> np.ndarray:
-        return self.parent.intermediate_eigenvalues(self.shift, np.add(ts, self.shift))
 
     @functools.cached_property
     def _log_at_shift(self) -> np.ndarray:
@@ -462,13 +426,9 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
         cptp_ok = not bad and f0_ok
         return ValidationReport(cptp_ok, f0_ok, tuple(bad), t_nb, cptp_ok, notes)
 
-    if isinstance(evolution, DiagonalEvolution):
-        pmin = evolution.min_choi(evolution.map_eigenvalues(ts))
-    else:
-        pmin = [linalg.min_choi_eigenvalue(evolution.dynamical_map(float(t))) for t in ts]
+    pmin = evolution.min_choi(evolution.map_eigenvalues(ts))
     bad = [(float(t), float(m)) for t, m in zip(ts, pmin) if m < -1e-9]
-    ident = linalg.identity_superoperator(evolution.dim)
-    f0_ok = bool(np.max(np.abs(evolution.dynamical_map(0.0).matrix - ident.matrix)) <= 1e-9)
+    f0_ok = bool(np.max(np.abs(evolution.dynamical_eigenvalues(0.0) - 1.0)) <= 1e-9)
     ok = f0_ok and not bad
     return ValidationReport(ok, f0_ok, tuple(bad), t_nb, not bad, notes)
 

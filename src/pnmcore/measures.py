@@ -19,12 +19,13 @@ import numpy as np
 from . import linalg
 from .errors import (
     DegeneratePair,
+    DimensionMismatch,
     DomainError,
-    UndefinedIntermediateMap,
+    NonFiniteResult,
     UnsupportedDimension,
     ZeroDifference,
 )
-from .evolutions import F_ZERO_TOL, Depolarizing, DiagonalEvolution, Evolution, PauliDiagonal, pauli_probs
+from .evolutions import F_ZERO_TOL, Depolarizing, Evolution, pauli_probs
 from .exprparse import ScalarFn
 from .numerics import bisect_boundary
 
@@ -98,25 +99,29 @@ class FluxSeries:
     sigma: np.ndarray
 
 
+def _trace_distance(e: Evolution, p: StatePair, ts) -> np.ndarray:
+    """||Lambda_t(rho1) - Lambda_t(rho2)||_1 at a time or an array of times,
+    in closed form."""
+    if p.dim != e.dim:
+        raise DimensionMismatch(f"operator shape {p.rho1.shape} does not match dim {e.dim}")
+    if isinstance(e, Depolarizing):
+        # trace distance of a depolarized pair scales exactly with f
+        return distinguishability(p) * np.abs(np.asarray(e.f(ts), dtype=float))
+    # a Pauli map scales Bloch vectors componentwise, and the trace
+    # distance of two qubit states is the distance of their Bloch vectors
+    lam = e.dynamical_eigenvalues(ts)
+    r = np.array([[np.trace(rho @ linalg.PAULI[k]).real for k in "xyz"] for rho in (p.rho1, p.rho2)])
+    # an evolved state is a density matrix iff its Bloch vector has length <= 1
+    if np.max(np.linalg.norm(lam[..., None, :] * r, axis=-1)) > 1.0 + 2.0 * STATE_TOL:
+        raise DomainError("StatePair entries must be density matrices")
+    return np.linalg.norm(lam * (r[0] - r[1]), axis=-1)
+
+
 def flux_series(e: Evolution, p: StatePair, horizon: float, n: int) -> FluxSeries:
     if n < 2:
         raise DomainError("flux series needs at least two samples")
     times = np.linspace(0.0, horizon, n)
-    if isinstance(e, Depolarizing) and p.dim == e.dim:
-        # trace distance of a depolarized pair scales exactly with f
-        d0 = distinguishability(p)
-        W = d0 * np.abs(np.asarray(e.f(times), dtype=float))
-    elif isinstance(e, PauliDiagonal) and p.dim == 2:
-        # a Pauli map scales Bloch vectors componentwise, and the trace
-        # distance of two qubit states is the distance of their Bloch vectors
-        lam = e.dynamical_eigenvalues(times)
-        r = np.array([[np.trace(rho @ linalg.PAULI[k]).real for k in "xyz"] for rho in (p.rho1, p.rho2)])
-        # an evolved state is a density matrix iff its Bloch vector has length <= 1
-        if np.max(np.linalg.norm(lam[:, None, :] * r, axis=-1)) > 1.0 + 2.0 * STATE_TOL:
-            raise DomainError("StatePair entries must be density matrices")
-        W = np.linalg.norm(lam * (r[0] - r[1]), axis=-1)
-    else:
-        W = np.array([distinguishability(evolve_pair(e, p, float(t))) for t in times])
+    W = _trace_distance(e, p, times)
     step = float(times[1] - times[0])
     return FluxSeries(times, W, np.diff(W) / step)
 
@@ -160,15 +165,12 @@ def depolarizing_measures(delta: float, f_at_T: float):
 def amplification_factor(e: Evolution, p: StatePair, T: float) -> float:
     """Backflow gain of the core over the parent: 2 divided by the
     distinguishability surviving at time T."""
-    d = distinguishability(evolve_pair(e, p, T))
+    d = float(_trace_distance(e, p, T))
+    if not math.isfinite(d):
+        raise NonFiniteResult(f"trace distance at T={T} is not finite")
     if d < 1e-12:
         raise DegeneratePair("evolved pair is indistinguishable at T")
     return 2.0 / d
-
-
-def _choi_trace_norm_excess(e: Evolution, s: float, t: float) -> float:
-    choi = linalg.choi_of(e.intermediate_map(s, t))
-    return max(0.0, linalg.trace_norm(choi) - 1.0)
 
 
 def _decrease(c: np.ndarray) -> float:
@@ -222,21 +224,12 @@ def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
     max(n, DETECT_POINTS) points, or from the sign of the rate expressions
     on max(n, RATE_POINTS) points where the family has them, and refined;
     between them the sum is exact.  inf where an eigenvalue rises out of a
-    zero (non_bijective_time).  Other families get the excess summed over n
-    grid steps, undefined steps skipped."""
+    zero (non_bijective_time)."""
     if isinstance(e, Depolarizing):
         weight, to_c = 2.0 * (1.0 - 1.0 / e.dim**2), np.negative
-    elif isinstance(e, PauliDiagonal):
+    else:
         weight = 2.0
         to_c = lambda logs: logs / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
-    else:
-        total, times = 0.0, np.linspace(0.0, horizon, n)
-        for s, t in zip(times[:-1], times[1:]):
-            try:
-                total += _choi_trace_norm_excess(e, float(s), float(t))
-            except UndefinedIntermediateMap:
-                continue
-        return total
     c = lambda ts: to_c(e.log_map_eigenvalues(ts))
     with np.errstate(divide="ignore", invalid="ignore"):
         ts = np.linspace(0.0, horizon, max(n, RATE_POINTS))
@@ -258,9 +251,6 @@ def _is_eb(e: Evolution, ts):
     """PPT (entanglement-breaking) test of the qubit dynamical maps at ts; for
     Pauli-diagonal maps, and depolarizing ones with lambda = (f, f, f), the
     partial transpose of the Choi state has eigenvalues 1/2 - p_i."""
-    if not isinstance(e, DiagonalEvolution):
-        dense = lambda t: linalg.is_eb_qubit(e.dynamical_map(float(t)))
-        return np.vectorize(dense, otypes=[bool])(ts)
     lam = e.dynamical_eigenvalues(ts)
     lam = np.broadcast_to(lam, lam.shape[:-1] + (3,))  # m = 1: (f, f, f)
     return 0.5 - np.maximum.reduce(pauli_probs(lam)) >= -1e-10

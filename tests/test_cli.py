@@ -7,9 +7,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
+from pnmcore import linalg
 from pnmcore.analysis import CLASS_NAMES, CptpGrid
 from pnmcore.cli import _JSON_WIDTH, _encode_repr, export_grid, load_config, main, run_report
 from pnmcore.errors import ParseError, SchemaError
+from tests.golden_configs import GOLDEN_CONFIGS
 
 
 def test_load_config_preset_defaults():
@@ -322,6 +324,17 @@ def test_cli_analyze_writes_report(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["classification"] == "PNM"
     assert doc["config"]["horizon"] == 2.0
+
+
+def test_analyze_builds_no_dense_map(tmp_path, monkeypatch):
+    # every report comes from map eigenvalues: building a d^2 x d^2 map fails it
+    def refuse(self):
+        raise AssertionError("analyze built a dense superoperator")
+
+    monkeypatch.setattr(linalg.Superoperator, "__post_init__", refuse)
+    configs = [*GOLDEN_CONFIGS.values(), {"evolution": {"preset": "paper-example", "dim": 32}}]
+    for config in configs:
+        assert main(["analyze", "--config", json.dumps(config), "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_cli_byte_determinism(tmp_path):

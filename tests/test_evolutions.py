@@ -121,11 +121,13 @@ def test_pauli_rates_unitarity_and_rate_min():
 
 
 def test_shifted_evolution_delegates():
-    parent = p.make_preset("paper-example")
-    core = p.ShiftedEvolution(parent, 0.2748)
-    assert core.dim == 2
-    direct = parent.intermediate_map(0.2748, 1.0 + 0.2748)
-    assert np.allclose(core.dynamical_map(1.0).matrix, direct.matrix)
+    # an extracted core's dynamical map is the parent's V_{t + T, T}
+    for preset, T in (("paper-example", 0.2748), ("quasi-eternal", 1.5)):
+        parent = p.make_preset(preset)
+        core = p.extract_pnm_core(parent, T)
+        assert core.dim == 2
+        direct = parent.intermediate_map(T, 1.0 + T)
+        assert np.allclose(core.dynamical_map(1.0).matrix, direct.matrix)
 
 
 def test_validate_spec_depolarizing():

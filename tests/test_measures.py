@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pnmcore as p
-from pnmcore.errors import DegeneratePair, DomainError, ZeroDifference
+from pnmcore.errors import DegeneratePair, DomainError, NonFiniteResult, ZeroDifference
 
 
 def orthogonal_qubit_pair():
@@ -151,6 +151,14 @@ def test_amplification_degenerate():
     e = p.Depolarizing(p.ScalarFn.constant(0.0))
     with pytest.raises(DegeneratePair):
         p.amplification_factor(e, orthogonal_qubit_pair(), 1.0)
+
+
+def test_amplification_non_finite():
+    # f is NaN below t = 1: a NaN distance is an error, not a gain
+    e = p.Depolarizing(p.ScalarFn.parse("exp(-t)+0*log(t-1)"))
+    with pytest.raises(NonFiniteResult):
+        p.amplification_factor(e, orthogonal_qubit_pair(), 0.5)
+    assert np.isclose(p.amplification_factor(e, orthogonal_qubit_pair(), 2.0), math.exp(2.0))
 
 
 def test_rhp_markovian_zero():

@@ -1,5 +1,6 @@
-"""The array map-eigenvalue path of the Pauli-diagonal families against the
-dense superoperator path (linalg.py), on random families, CP and not; the
+"""The array map-eigenvalue path of the Pauli-diagonal families, and the
+closed-form trace distance of the depolarizing ones, against the dense
+superoperator path (linalg.py), on random families, CP and not; the
 depolarizing maps built from the one eigenvalue f(t) against the
 hand-written ones they replaced; the closed-form RHP measure against the
 grid-step sum of Choi trace-norm excesses it replaced; the triangular,
@@ -20,6 +21,8 @@ from pnmcore import analysis
 from pnmcore.analysis import CPTP, NONCPTP, REFINE_XTOL, SCAN_BLOCK, SCAN_TOL, UNDEFINED, _depolarizing_T
 from pnmcore.errors import (
     CPTPViolation,
+    DegeneratePair,
+    DimensionMismatch,
     DomainError,
     NonFiniteResult,
     PnmError,
@@ -27,7 +30,7 @@ from pnmcore.errors import (
     UndefinedIntermediateMap,
 )
 from pnmcore.evolutions import F_ZERO_TOL, pauli_min_prob, pauli_probs
-from pnmcore.measures import _choi_trace_norm_excess, _is_eb
+from pnmcore.measures import _is_eb
 from pnmcore.numerics import bisect_boundary
 
 HORIZON, N = 3.0, 40
@@ -99,6 +102,12 @@ def _step_sum(e, horizon, n):
         return float(np.sum(np.clip(excess[defined], 0.0, None)))
     excess = _pauli_step_excess(e, times)
     return float(np.sum(np.clip(excess[np.isfinite(excess)], 0.0, None)))
+
+
+def _choi_trace_norm_excess(e, s, t):
+    """||J(V_{t,s})||_1 - 1 of the dense intermediate map, clipped at 0."""
+    choi = linalg.choi_of(e.intermediate_map(s, t))
+    return max(0.0, linalg.trace_norm(choi) - 1.0)
 
 
 def _dense_W(e, pair, times):
@@ -274,22 +283,12 @@ def _reference_scan(e, horizon, n, tol=SCAN_TOL):
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = (1.0 - ft / fs) / e.dim**2
             undefined = np.zeros_like(val, dtype=bool)
-    elif isinstance(e, p.PauliDiagonal):
+    else:
         eig = e.map_eigenvalues(times)  # (n, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             # eig[None, j] / eig[i, None] = lambda(t_j) / lambda(t_i)
             val = pauli_min_prob(eig[None, :, :] / eig[:, None, :])
         undefined = ~np.isfinite(val)
-    else:
-        val = np.full((n, n), np.nan)
-        undefined = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    val[i, j] = e.intermediate_min_choi(float(times[i]), float(times[j]))
-                except UndefinedIntermediateMap:
-                    undefined[i, j] = True
-                    val[i, j] = np.nan
 
     value[upper] = np.asarray(val, dtype=float)[upper]
     np.fill_diagonal(value, 0.0)
@@ -321,6 +320,51 @@ def depolarizing_families(draw):
     else:
         f = f"exp(-{a}*t)*cos({w}*t)"
     return p.Depolarizing(p.ScalarFn.parse(f), dim=draw(st.sampled_from([2, 3])))
+
+
+def _orthogonal_pair(dim, i, j):
+    """|i><i| and |j><j|, i != j: an orthogonal pair in dimension dim."""
+    rho1, rho2 = np.zeros((2, dim, dim), dtype=complex)
+    rho1[i, i] = rho2[j, j] = 1.0
+    return p.StatePair(rho1, rho2)
+
+
+def _dense_distance(e, pair, t):
+    """||Lambda_t(rho1) - Lambda_t(rho2)||_1 from the dense map, the images
+    not required to be states: for f < -1/(d - 1) they are not."""
+    m = e.dynamical_map(float(t))
+    return linalg.trace_norm(linalg.apply_map(m, pair.rho1) - linalg.apply_map(m, pair.rho2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=depolarizing_families(), data=st.data())
+def test_depolarizing_flux_and_amplification_match_evolved_pair(e, data):
+    i, j = data.draw(st.lists(st.integers(0, e.dim - 1), min_size=2, max_size=2, unique=True))
+    pair = _orthogonal_pair(e.dim, i, j)
+    times = np.linspace(0.0, HORIZON, N)
+    W = p.flux_series(e, pair, HORIZON, N).W
+    dense = np.array([_dense_distance(e, pair, t) for t in times])
+    # eigvalsh of the dense difference carries an absolute rounding error of
+    # a few ulps of its unit-scale entries, which near a zero of f is more
+    # than 1e-12 of W
+    assert np.allclose(W, dense, rtol=1e-12, atol=1e-15)
+    T = data.draw(st.sampled_from(times[1:]))
+    amp, err = _outcome(lambda: p.amplification_factor(e, pair, T))
+    d = _dense_distance(e, pair, T)
+    if err is DegeneratePair:
+        assert d < 1e-12 + 1e-15
+    else:
+        assert math.isclose(2.0 / amp, d, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_pair_of_another_dimension_raises_dimension_mismatch():
+    qubit_pair = _orthogonal_pair(2, 0, 1)
+    for e in (p.Depolarizing(p.ScalarFn.parse("exp(-t)"), dim=3), p.make_preset("eternal")):
+        pair = qubit_pair if e.dim == 3 else _orthogonal_pair(3, 0, 1)
+        with pytest.raises(DimensionMismatch):
+            p.flux_series(e, pair, HORIZON, N)
+        with pytest.raises(DimensionMismatch):
+            p.amplification_factor(e, pair, 1.0)
 
 
 # grid sizes on and around the block edges, and past two blocks
@@ -397,11 +441,6 @@ def test_depolarizing_maps_match_the_hand_written_ones(e, times):
         if err is not None:
             assert err[0] is want_err[0]
             assert err == undefined  # at f(s) = 0 both raise intermediate_map's message
-
-
-def test_dense_fallback_scan_matches_full_square_scan():
-    # a core of a depolarizing family taken as a generic evolution
-    _same_scan(p.ShiftedEvolution(p.make_preset("paper-example"), 0.3), 2.0, 17)
 
 
 def _old_derivative(f, t, h=1e-6):
