@@ -31,61 +31,87 @@ CPTP, NONCPTP, UNDEFINED = 0, 1, 2
 CLASS_NAMES = {CPTP: "CPTP", NONCPTP: "NonCPTP", UNDEFINED: "Undefined"}
 
 
-@dataclass(frozen=True)
 class CptpGrid:
     """Triangular (s <= t) grid of smallest Choi eigenvalues.
 
     value[i, j] is lambda_{t_j, s_i} (or its regularization for
     non-invertible depolarizing evolutions); entries below the diagonal are
     NaN.  cls holds the CPTP / NonCPTP / Undefined code per cell.
+
+    A scanned grid is deferred: rows(r0, r1) computes rows r0:r1, columns
+    r0:n; min_value and verify_composition_rules fold those blocks, and
+    value and cls build the grid on first read.  bound is the B of
+    verify_composition_rules, math.inf for a grid built from arrays.
     """
 
-    horizon: float
-    n: int
-    times: np.ndarray
-    value: np.ndarray
-    cls: np.ndarray
-    regularized: bool = False
-    tol: float = SCAN_TOL
+    def __init__(self, horizon, n, times, value=None, cls=None, regularized=False, tol=SCAN_TOL, rows=None, bound=math.inf):
+        self.horizon, self.n, self.times, self.regularized, self.tol, self.bound = horizon, n, times, regularized, tol, bound
+        self.rows = rows or (lambda r0, r1: (value[r0:r1, r0:], cls[r0:r1, r0:]))
+        if rows is None:
+            self._grid = value, cls
+
+    value, cls = property(lambda self: self._grid[0]), property(lambda self: self._grid[1])
+
+    @functools.cached_property
+    def _grid(self):
+        value, cls = np.full((self.n, self.n), np.nan), np.full((self.n, self.n), CPTP, dtype=np.int8)
+        for r0 in range(0, self.n, SCAN_BLOCK):
+            v, c = self.rows(r0, min(r0 + SCAN_BLOCK, self.n))
+            value[r0 : r0 + len(v), r0:], cls[r0 : r0 + len(c), r0:] = v, c
+        return value, cls
+
+    @functools.cached_property
+    def _fold(self):
+        """(value, i, j) of the first smallest finite cell, and the band rows."""
+        best, band = None, []
+        for r0 in range(0, self.n, SCAN_BLOCK):
+            v, c = self.rows(r0, min(r0 + SCAN_BLOCK, self.n))
+            masked = np.where(np.isfinite(v), v, np.inf)
+            i, j = divmod(int(np.argmin(masked)), v.shape[1])
+            if best is None or masked[i, j] < best[0]:  # strictly: the first minimum wins
+                best = (masked[i, j], v[i, j], r0 + i, r0 + j)
+            band.append(r0 + np.flatnonzero(((c == NONCPTP) & ~(v < -self.bound)).any(axis=1)))
+        return best[1:], np.concatenate(band)
 
     def min_value(self):
         """(value, s, t) of the most negative cell."""
-        masked = np.where(np.isfinite(self.value), self.value, np.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        return float(self.value[i, j]), float(self.times[i]), float(self.times[j])
+        v, i, j = self._fold[0]
+        return float(v), float(self.times[i]), float(self.times[j])
 
 
 def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_TOL) -> CptpGrid:
     if horizon <= 0 or n < 16:
         raise ValueError("need horizon > 0 and n >= 16")
     times = np.linspace(0.0, horizon, n)
-    value = np.full((n, n), np.nan)  # unwritten cells stay NaN
-    regularized = False
-
-    if isinstance(e, Depolarizing) and e.non_bijective_time(horizon) is not None:
-        # f(s) lambda_{t,s} = (f(s) - f(t)) / d^2: finite, of lambda's sign, at f(s) = 0 too
+    regularized = isinstance(e, Depolarizing) and e.non_bijective_time(horizon) is not None
+    if regularized:
+        # B: legs >= -tol telescope, f_i - f_k = (f_i - f_j) + (f_j - f_k); a NaN f_j reads CPTP both ways
         fv = np.asarray(e.f(times), dtype=float)
-        fs, ft = fv[:, None], fv[None, :]
-        regularized = True
-        np.divide(np.subtract(fs, ft, out=value), e.dim**2, out=value)
-        undefined = np.broadcast_to(np.abs(fs) <= 1e-9, value.shape)
+        bound = math.inf if np.isnan(fv).any() else 2 * tol
     else:
         eig = e.map_eigenvalues(times)  # (n, m)
-        # overflow too: a block's cells below the diagonal are discarded
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i0 in range(0, n, SCAN_BLOCK):
-                # rows i0:i1, columns j >= i0: lambda(t_j) / lambda(t_i)
-                rows = slice(i0, i0 + SCAN_BLOCK)
-                value[rows, i0:] = e.min_choi(eig[None, i0:] / eig[rows, None])
-        undefined = ~np.isfinite(value)
+        bound = e.composition_bound(eig, tol)
+        by_eig = np.ascontiguousarray(eig.T)  # (m, n): each eigenvalue's ratios contiguous
 
-    lower = np.tri(n, k=-1, dtype=bool)
-    value[lower] = np.nan
-    np.fill_diagonal(value, 0.0)
-    cls = np.full((n, n), CPTP, dtype=np.int8)
-    cls[undefined & ~lower] = UNDEFINED
-    cls[value < -tol] = NONCPTP  # a negative cell is NonCPTP even if undefined
-    return CptpGrid(horizon, n, times, value, cls, regularized, tol)
+    def rows(r0, r1):
+        if regularized:
+            # f(s) lambda_{t,s} = (f(s) - f(t)) / d^2: finite, of lambda's sign, at f(s) = 0 too
+            value = (fv[r0:r1, None] - fv[None, r0:]) / e.dim**2
+            undefined = np.broadcast_to(np.abs(fv[r0:r1, None]) <= 1e-9, value.shape)
+        else:
+            # lambda(t_j) / lambda(t_i); overflow too: cells below the diagonal are discarded
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                value = e.min_choi(np.moveaxis(by_eig[:, None, r0:] / by_eig[:, r0:r1, None], 0, -1))
+            undefined = ~np.isfinite(value)
+        lower = np.tri(r1 - r0, k=-1, dtype=bool)  # every cell below the diagonal is in the first r1 - r0 columns
+        cls = np.where(undefined, np.int8(UNDEFINED), np.int8(CPTP))
+        value[:, : r1 - r0][lower], cls[:, : r1 - r0][lower] = np.nan, CPTP
+        np.fill_diagonal(value, 0.0)
+        cls[value < -tol] = NONCPTP  # a negative cell is NonCPTP even if undefined
+        return value, cls
+
+    x = 1.0 + e.dim**2 * tol  # verify_composition_rules' rounding margin 1e-12 x^3 (inf if it overflows)
+    return CptpGrid(horizon, n, times, regularized=regularized, tol=tol, rows=rows, bound=bound + 1e-12 * x * x * x)
 
 
 @dataclass(frozen=True)
@@ -350,11 +376,24 @@ def verify_composition_rules(grid: CptpGrid) -> int:
     Every triple is checked: (A @ A)[i, k] counts the CPTP·CPTP paths i -> j
     -> k through the strict upper-triangular CPTP mask A, and the count sums
     it over the NonCPTP cells.  float32 is exact here, since a cell holds at
-    most n - 2 < 2**24 paths, and much faster than an integer matmul."""
-    bad = np.triu(grid.cls == NONCPTP, 2)
-    rows = np.flatnonzero(bad.any(axis=1))
+    most n - 2 < 2**24 paths, and much faster than an integer matmul.
+
+    Only band rows are multiplied, by this theorem: in a grid scanned from
+    a diagonal family, a NonCPTP cell below -B has no CPTP·CPTP path, so
+    rows with no NonCPTP cell in [-B, -tol) add nothing.  B is the family's
+    composition_bound (the regularized scan's is in scan_regions), exact
+    for legs >= -tol, plus 1e-12 x^3, x = 1 + d^2 tol, for rounding: CPTP
+    legs have finite ratios, so lambda_j is finite and non-zero, lambda_i
+    non-zero, and R_ik = R_ij R_jk (0 = 0 where lambda_i is infinite); their
+    ratios are below 2x, the cell's below 4x^2; a cell is its exact value
+    after a ratio, four sums and a /d^2, each off by u = 2^-53 of operands
+    below 13x^2 (2^-1075 on underflow), or after a difference and a /d^2,
+    within 3u of itself, so rounding moves the bound by less than 1e-14
+    x^2.  B is inf where x^3 overflows and for a grid built from arrays."""
+    rows = grid._fold[1]
     if not len(rows):
         return 0
-    a = np.triu(grid.cls == CPTP, 1).astype(np.float32)
-    paths = a[rows] @ a
-    return int(paths[bad[rows]].sum(dtype=np.float64))
+    cls = grid.cls
+    a = np.triu(cls == CPTP, 1).astype(np.float32)
+    bad = (cls[rows] == NONCPTP) & (np.arange(grid.n) >= rows[:, None] + 2)
+    return int((a[rows] @ a)[bad].sum(dtype=np.float64))

@@ -52,7 +52,7 @@ from .measures import MeasureReport, eb_time_qubit, measure_report
 
 DEFAULT_HORIZON = 5.0
 DEFAULT_GRID = 400
-MAX_GRID = 2048  # scan and export memory grow as grid_points**2
+MAX_GRID = 2048  # a materialized grid (scan export, a read of value or cls) grows as grid_points**2
 MAX_DIM = 32  # input validation: the report builds no dim^2 x dim^2 map, but the dense oracle maps do (16 MB at 32)
 
 _CONFIG_FIELDS = {"evolution", "horizon", "grid_points", "tolerances", "outputs", "seed"}

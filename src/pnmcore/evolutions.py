@@ -140,6 +140,10 @@ class Evolution:
         inverse, if any."""
         return None
 
+    def composition_bound(self, lam, tol: float) -> float:
+        """analysis.verify_composition_rules' B for a scan of the map eigenvalues lam."""
+        return math.inf
+
 
 @dataclass(frozen=True)
 class Depolarizing(Evolution):
@@ -168,6 +172,13 @@ class Depolarizing(Evolution):
     def min_choi(self, lam):
         return (1.0 - lam[..., 0]) / self.dim**2
 
+    def composition_bound(self, lam, tol: float) -> float:
+        """tol (2 + d^2 tol) if every f sample > 0: a cell is (1 - g) / d^2, g =
+        f(t) / f(s) = g_ij g_jk, and legs >= -tol have 0 <= g <= 1 + d^2 tol.
+        A sample f <= 0 (that non_bijective_time missed) lets two legs with g
+        < 0 read CPTP and compose to any g, so B is inf."""
+        return tol * (2 + self.dim**2 * tol) if np.all(lam > 0) else math.inf
+
     def superoperator(self, lam) -> linalg.Superoperator:
         return linalg.depolarizing_superoperator(self.dim, lam[0])
 
@@ -188,6 +199,14 @@ class PauliDiagonal(Evolution):
     def min_choi(self, lam):
         # the Choi eigenvalues of a Pauli map are its four probabilities
         return pauli_min_prob(lam)
+
+    def composition_bound(self, lam, tol: float) -> float:
+        """2 tol (1 + 3 tol): a Pauli map's Choi spectrum is its probabilities
+        p_a, a in {0, x, y, z}, summing to 1; a composition's is the XOR
+        convolution sum_a p_a q_{a^c} of its legs'.  With p_a, q_b >= -tol,
+        each leg's positive ones sum to <= 1 + 3 tol and a term is negative by
+        <= tol q_b or tol p_a.  A shifted core's eigenvalues are ratios too."""
+        return 2 * tol * (1 + 3 * tol)
 
     def superoperator(self, lam) -> linalg.Superoperator:
         return linalg.pauli_superoperator(pauli_probs(lam))

@@ -260,7 +260,8 @@ class ScalarFn:
 
 def numeric_derivative(f: ScalarFn, t, h: float = DERIV_STEP):
     """Central difference, O(h^2) error, at a float or an array of times."""
-    d = (np.asarray(f(t + h), dtype=float) - f(t - h)) / (2 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d raises below
+        d = (np.asarray(f(t + h), dtype=float) - f(t - h)) / (2 * h)
     if not np.all(np.isfinite(d)):
         raise NonFiniteResult(f"derivative not finite at t={np.broadcast_to(t, d.shape)[~np.isfinite(d)].flat[0]}")
     return d

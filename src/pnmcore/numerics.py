@@ -133,12 +133,13 @@ class CumulativeIntegral:
         if not np.all((ts >= 0) & np.isfinite(ts)):
             raise ValueError("rates are integrated from 0, over finite times")
         need = int(np.max(ts, initial=0.0) // (PANEL_WIDTH * PANELS_PER_CHUNK)) + 1
-        if need > len(self._chunks):
-            self._chunks += [self._chunk(c) for c in range(len(self._chunks), need)]
-            self._edges = np.concatenate([c[0] for c in self._chunks])
-            self._prefix = np.cumsum(np.concatenate([[0.0]] + [c[1] for c in self._chunks]))[:-1]
-        j = np.searchsorted(self._edges, ts.ravel(), side="right") - 1
-        total = self._prefix[j] + self._gauss(self._edges[j], ts.ravel() - self._edges[j])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises below
+            if need > len(self._chunks):
+                self._chunks += [self._chunk(c) for c in range(len(self._chunks), need)]
+                self._edges = np.concatenate([c[0] for c in self._chunks])
+                self._prefix = np.cumsum(np.concatenate([[0.0]] + [c[1] for c in self._chunks]))[:-1]
+            j = np.searchsorted(self._edges, ts.ravel(), side="right") - 1
+            total = self._prefix[j] + self._gauss(self._edges[j], ts.ravel() - self._edges[j])
         if not np.all(np.isfinite(total)):
             raise QuadratureFailure(f"integral of {self.fn} is not finite")
         return total.reshape(ts.shape)

@@ -61,7 +61,7 @@ def test_regularized_scan_for_non_invertible():
 def _scan_peak_bytes(e, horizon, n):
     tracemalloc.start()
     try:
-        p.scan_regions(e, horizon, n)
+        p.scan_regions(e, horizon, n).value  # the deferred grid, materialized
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -90,6 +90,7 @@ def test_csv_export_memory_is_bounded_by_one_block():
     # time, so the export holds one block's buffers whatever the grid size
     for n in (800, 1600):
         grid = p.scan_regions(p.make_preset("paper-example"), 2.5, n)
+        grid.value  # built before tracing: the bound is on the export's own buffers
         for fmt in ("csv", "json"):
             assert _export_peak_bytes(grid, fmt) <= 8 * 2**20, (n, fmt)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,20 @@ def test_run_report_quasi_eternal_core_is_pnm_with_the_parent_rhp(params, horizo
     assert math.isclose(doc["core"]["measures"]["rhp"], doc["measures"]["rhp"], rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("preset, horizon", [("paper-example", 5.0), ("appendix-f", 6.0), ("eternal", 5.0), ("pathological", 5.0)])
+def test_run_report_holds_no_grid(preset, horizon):
+    # the composition count and min_choi fold the scan a block of rows at a
+    # time: at n = 2048 one float64 grid would be 32 MiB
+    cfg = load_config(json.dumps({"evolution": {"preset": preset}, "horizon": horizon, "grid_points": 2048}))
+    tracemalloc.start()
+    try:
+        run_report(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_run_report_deterministic():
     cfg = load_config('{"evolution":{"preset":"eternal"},"horizon":2.0,"grid_points":64}')
     a = json.dumps(run_report(cfg), sort_keys=True)
@@ -158,38 +173,51 @@ def test_export_grid_json_roundtrip():
     assert len(doc["cells"]) == 16 * 17 // 2
 
 
-def _reference_export(grid, fmt):
-    """export_grid as it was before it was vectorized: one Python format
-    call per cell; the oracle for the byte-identity test below."""
+# json.dumps(indent=2) of the export document, as literal templates
+_REFERENCE_HEAD = '{\n  "horizon": %s,\n  "n": %s,\n  "regularized": %s,\n  "cells": [\n'
+_REFERENCE_CELL = '    {\n      "s": %r,\n      "t": %r,\n      "value": %s,\n      "class": "%s"\n    }'
 
-    def fmt_(x):
-        return "nan" if math.isnan(x) else f"{x:.11e}"
 
-    cells = [
-        (
-            float(grid.times[i]),
-            float(grid.times[j]),
-            float(grid.value[i, j]),
-            CLASS_NAMES[int(grid.cls[i, j])],
-        )
+def _reference_cells(grid):
+    """(s, t, value, class name) of the s <= t cells in row-major order."""
+    times, value, cls = grid.times.tolist(), grid.value.tolist(), grid.cls.tolist()
+    return [
+        (times[i], times[j], value[i][j], CLASS_NAMES[cls[i][j]])
         for i in range(grid.n)
         for j in range(i, grid.n)
     ]
-    if fmt == "csv":
-        lines = ["s,t,value,class"]
-        for s, t, v, c in cells:
-            lines.append(f"{fmt_(s)},{fmt_(t)},{fmt_(v)},{c}")
-        return "\n".join(lines) + "\n"
-    doc = {
-        "horizon": grid.horizon,
-        "n": grid.n,
-        "regularized": grid.regularized,
-        "cells": [
-            {"s": s, "t": t, "value": v if math.isfinite(v) else None, "class": c}
-            for s, t, v, c in cells
-        ],
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _reference_export(grid, fmt):
+    """export_grid as it was before it was vectorized: one Python format
+    call per cell; the oracle for the byte-identity test below.  The JSON
+    layout is that of json.dumps(indent=2), filled in cell by cell (the
+    pure-Python encoder that indent selects takes seconds on a 200-point
+    grid); test_reference_json_layout_is_json_dumps pins the two together."""
+
+    cells = _reference_cells(grid)
+    if fmt == "csv":  # "%.11e" writes any NaN as nan, whatever its sign
+        return "".join(["s,t,value,class\n"] + ["%.11e,%.11e,%.11e,%s\n" % cell for cell in cells])
+    head = _REFERENCE_HEAD % tuple(json.dumps(x) for x in (grid.horizon, grid.n, grid.regularized))
+    body = ",\n".join(_REFERENCE_CELL % (s, t, repr(v) if math.isfinite(v) else "null", c) for s, t, v, c in cells)
+    return head + body + "\n  ]\n}\n"
+
+
+def test_reference_json_layout_is_json_dumps():
+    value = np.array([[0.0, -0.0, math.nan], [math.nan, 1e-300, math.inf], [math.nan, math.nan, -2.5e16]])
+    cls = np.array([[0, 1, 2], [0, 1, 2], [0, 0, 1]], dtype=np.int8)
+    for horizon, regularized in ((2.5, False), (7, True), (1e120, False)):
+        grid = CptpGrid(horizon, 3, np.linspace(0.0, horizon, 3), value, cls, regularized)
+        doc = {
+            "horizon": horizon,
+            "n": 3,
+            "regularized": regularized,
+            "cells": [
+                {"s": s, "t": t, "value": v if math.isfinite(v) else None, "class": c}
+                for s, t, v, c in _reference_cells(grid)
+            ],
+        }
+        assert _reference_export(grid, "json") == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # NaN, +-inf, -0.0, subnormals, the extremes of the exponent range
@@ -461,6 +489,22 @@ def test_long_horizon_analyze_is_silent(evolution, horizon, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     _strict_json(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "evolution, horizon",
+    [
+        ({"type": "depolarizing", "f": "exp(t*1000)"}, 2),  # f overflows: tau's derivative reads inf - inf
+        ({"type": "pauliRates", "g_x": "1e308", "g_y": "0", "g_z": "0"}, 5),  # the rate integrals overflow
+    ],
+)
+def test_overflowing_family_exits_2_without_a_warning(evolution, horizon, capsys):
+    config = json.dumps({"evolution": evolution, "horizon": horizon})
+    assert main(["analyze", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure" in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,15 +4,16 @@ superoperator path (linalg.py), on random families, CP and not; the
 depolarizing maps built from the one eigenvalue f(t) against the
 hand-written ones they replaced; the closed-form RHP measure against the
 grid-step sum of Choi trace-norm excesses it replaced; the triangular,
-row-blocked region scan against the full-square scan it replaced; and tau
+row-blocked region scan against the full-square scan it replaced; tau
 and T from whole-grid evaluations against the one-time-at-a-time loops they
-replaced."""
+replaced; and the composition count and minimum folded over the deferred
+grid's row blocks against the full-grid matmul and argmin they replaced."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
@@ -654,3 +655,96 @@ def test_ratio_blocks_raise_at_a_singular_candidate_as_one_at_a_time():
     reference = _outcome_msg(lambda: _reference_first_failing(e, cs, t_grid))
     assert blocked == reference
     assert reference[1] == (SingularMap, "Pauli map not invertible at s=2.5")
+
+
+def _full_grid_paths(cls):
+    """verify_composition_rules as it was before band rows, cell by cell:
+    the float32 count of CPTP·CPTP paths into each NonCPTP cell."""
+    a = np.triu(cls == CPTP, 1).astype(np.float32)
+    return np.where(np.triu(cls == NONCPTP, 2), a @ a, 0.0)
+
+
+def _dipped(e, horizon, n, m, depth):
+    """e minus a Gaussian dip to -(depth - 1) f(t_m) at the scan time t_m =
+    times[m], ten times narrower than the distance from t_m to
+    find_first_zero's 2048-point grid, so that non_bijective_time misses
+    the zero; None where t_m is on that grid."""
+    t_m = float(np.linspace(0.0, horizon, n)[m])
+    step = horizon / 2047
+    gap = abs(t_m - round(t_m / step) * step)
+    if gap <= 1e-6 * horizon:
+        return None
+    f = f"{e.f.source}-{depth * float(e.f(t_m))!r}*exp(-((t-{t_m!r})/{gap / 10!r})^2)"
+    return p.Depolarizing(p.ScalarFn.parse(f), dim=e.dim)
+
+
+@st.composite
+def fold_cases(draw):
+    """(family, horizon, n, tol): depolarizing f positive, sign-changing (a
+    regularized scan) or positive but for a negative dip no zero search
+    sees, at d = 2, 3; Pauli probabilities and rates, quasi-eternal
+    families and shifted cores; tol log-uniform up to 1e-1, so that band
+    rows occur."""
+    n, horizon = draw(st.integers(16, 200)), draw(st.sampled_from([HORIZON, 400.0]))
+    tol = draw(st.just(0.0) | st.floats(-16.0, -1.0).map(lambda x: 10.0**x))
+    if draw(st.booleans()):
+        return draw(pauli_families()), horizon, n, tol
+    e = draw(depolarizing_families())
+    if draw(st.booleans()) and e.non_bijective_time(horizon) is None:
+        e = _dipped(e, horizon, n, draw(st.integers(1, n - 1)), draw(st.floats(1.1, 3.0)))
+        assume(e is not None)
+    return e, horizon, n, tol
+
+
+def _check_fold(e, horizon, n, tol):
+    """The deferred grid's count and minimum against the full-grid ones, and
+    its materialized grid against the full-square scan."""
+    grid, err = _outcome_msg(lambda: p.scan_regions(e, horizon, n, tol))
+    with np.errstate(over="ignore"):  # the full square overflows below the diagonal
+        ref, ref_err = _outcome_msg(lambda: _reference_scan(e, horizon, n, tol))
+    assert err == ref_err
+    if err is not None:
+        return None
+    count, low = p.verify_composition_rules(grid), grid.min_value()  # before value and cls exist
+    value, cls, regularized = ref
+    assert grid.value.tobytes() == value.tobytes()
+    assert np.array_equal(grid.cls, cls)
+    assert grid.regularized == regularized
+    paths = _full_grid_paths(cls)
+    assert count == int(paths.sum(dtype=np.float64))
+    assert not np.any(value[paths > 0] < -grid.bound)  # the theorem, cell by cell
+    i, j = np.unravel_index(np.argmin(np.where(np.isfinite(value), value, np.inf)), value.shape)
+    assert repr(low) == repr((float(value[i, j]), float(grid.times[i]), float(grid.times[j])))
+    return grid, count
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fold_cases())
+def test_folded_count_and_minimum_match_the_full_grid(case):
+    _check_fold(*case)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        p.Depolarizing(p.ScalarFn.parse("exp(-0.3*t)*(1+0.5*cos(2*t))/1.5")),
+        p.Depolarizing(p.ScalarFn.parse("exp(-0.5*t)*cos(2*t)")),  # regularized
+        p.PauliRates(*[p.ScalarFn.parse("0.3+0.4*cos(2*t)")] * 3),
+    ],
+    ids=["revival", "regularized", "pauli-rates"],
+)
+def test_band_rows_are_multiplied(e):
+    # at tol = 1e-2 some cells in [-B, -tol) have CPTP·CPTP paths, the lowest
+    # within 3% of -B: the band branch counts them, and a smaller B fails
+    grid, count = _check_fold(e, HORIZON, 150, 1e-2)
+    assert math.isfinite(grid.bound) and len(grid._fold[1]) and count > 0
+
+
+def test_negative_sample_makes_every_noncptp_row_a_band_row():
+    # f < 0 at one scan time only, in the trough before the revival: the two
+    # legs through it read CPTP, so B is inf
+    revival = p.Depolarizing(p.ScalarFn.parse("exp(-0.3*t)*(1+0.5*cos(2*t))/1.5"))
+    e = _dipped(revival, HORIZON, 150, 90, 2.0)
+    assert e.non_bijective_time(HORIZON) is None
+    grid, count = _check_fold(e, HORIZON, 150, SCAN_TOL)
+    assert grid.bound == math.inf and count > 0
