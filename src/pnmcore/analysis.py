@@ -16,16 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PnmError, UndefinedIntermediateMap
+from .errors import UndefinedIntermediateMap
 from .evolutions import Depolarizing, Evolution, ShiftedPauli
 from .exprparse import numeric_derivative
-from .numerics import bisect_boundary, bisect_root
+from .numerics import EVAL_ERRORS, bisect_boundary, bisect_root, ternary_search
 
 SCAN_TOL = 1e-10
 REFINE_XTOL = 1e-4
 SCAN_BLOCK = 64  # rows per scan block: bounds its temporaries to a few MB
-
-_EVAL_ERRORS = (PnmError, ArithmeticError, ValueError)  # what evaluating a family can raise
 
 CPTP, NONCPTP, UNDEFINED = 0, 1, 2
 CLASS_NAMES = {CPTP: "CPTP", NONCPTP: "NonCPTP", UNDEFINED: "Undefined"}
@@ -166,29 +164,19 @@ def compute_tau_lambda(e: Evolution, horizon: float, n: int = 400) -> float:
     step = float(ts[1] - ts[0])
     try:
         flags = _non_cptp(e, ts, step)
-    except _EVAL_ERRORS:  # raise only what the times taken one by one raise before the first flag
+    except EVAL_ERRORS:  # raise only what the times taken one by one raise before the first flag
         flags = (_non_cptp(e, ts[k : k + 1], step)[0] for k in range(len(ts)))
     k = next((k for k, flag in enumerate(flags) if flag), None)
     if k is None:
         return math.inf
     if ts[k] == 0.0:
         return 0.0
-    pred = lambda x: not _non_cptp(e, np.array([x]), step)[0]
-    return bisect_boundary(pred, float(ts[k - 1]), float(ts[k]), REFINE_XTOL)
+    return bisect_boundary(lambda xs: ~_non_cptp(e, xs, step), float(ts[k - 1]), float(ts[k]), REFINE_XTOL)
 
 
 def _refine_peak(fn, lo: float, hi: float):
     """Ternary-search the maximum of fn on [lo, hi]; (argmax, max)."""
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if fn(a) < fn(b):
-            lo = a
-        else:
-            hi = b
-        if hi - lo < 1e-12:
-            break
-    x = 0.5 * (lo + hi)
+    x = ternary_search(fn, lo, hi, lambda fa, fb: not fa < fb, 200, 1e-12)
     return x, fn(x)
 
 
@@ -223,22 +211,26 @@ def _condition_b(e: Evolution, T: float, t_grid: np.ndarray, tol: float) -> bool
     return not np.any(e.intermediate_min_choi(T, t_grid[t_grid >= T]) < -tol)
 
 
+def _b_fails(e: Evolution, Ts: np.ndarray, t_grid: np.ndarray, lam, tol: float) -> np.ndarray:
+    """Whether condition (B) fails at each T in Ts, as one (len(Ts) x n) grid of
+    ratios to lam on t_grid; raises where a lambda(T) raises or is singular."""
+    at = e.map_eigenvalues(Ts)[:, None]
+    singular = np.min(np.abs(at), axis=(1, 2)) <= e.singular_tol
+    if np.any(singular):
+        raise e.singular(float(Ts[np.argmax(singular)]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return ((e.min_choi(lam / at) < -tol) & (t_grid >= Ts[:, None])).any(axis=1)
+
+
 def _first_failing(e: Evolution, cs: np.ndarray, t_grid: np.ndarray, lam, tol: float) -> Optional[int]:
-    """Index of the first T in cs where condition (B) fails, or None.  Given lam
-    on t_grid, blocks of 2, 4, 8, ... candidates are each one (rows x n) ratio
-    grid, until a block's lambda(T) raises or is singular; then one at a time."""
+    """Index of the first T in cs where condition (B) fails, or None: _b_fails
+    on blocks of 2, 4, 8, ... candidates until one raises; then one at a time."""
     i, rows = 0, 2
     while i < len(cs):
-        block = cs[i : i + rows]
         try:
-            at = e.map_eigenvalues(block)[:, None]
-        except _EVAL_ERRORS:
+            hit = np.flatnonzero(_b_fails(e, cs[i : i + rows], t_grid, lam, tol))
+        except EVAL_ERRORS:
             break
-        if np.min(np.abs(at)) <= e.singular_tol:
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            bad = (e.min_choi(lam / at) < -tol) & (t_grid >= block[:, None])
-        hit = np.flatnonzero(bad.any(axis=1))
         if len(hit):
             return i + int(hit[0])
         i, rows = i + rows, 2 * rows
@@ -266,16 +258,15 @@ def compute_T_lambda(
     else:
         # valid-(A and B) set is an interval [0, T_AB]: bracket then bisect
         lam = e.map_eigenvalues(t_grid)
-        b = lambda T: _first_failing(e, np.array([T]), t_grid, lam, tol) is None
         cs = np.linspace(0.0, cap, 65)[1:]
         hi = float(cs[_first_failing(e, cs, t_grid, lam, tol)])
-        t_ab = bisect_boundary(b, hi - cap / 64.0, hi, REFINE_XTOL)
+        t_ab = bisect_boundary(lambda Ts: ~_b_fails(e, Ts, t_grid, lam, tol), hi - cap / 64.0, hi, REFINE_XTOL)
     if t_ab > 0 and e.is_unitary_at(max(t_ab - REFINE_XTOL, 0.0)):
         # condition (C): walk back to the latest non-unitary time,
         # skipping the refinement-width neighborhood of the boundary
         for T in np.linspace(t_ab, 0.0, 65):
             if 0 < T < t_ab - REFINE_XTOL and not e.is_unitary_at(float(T)):
-                return bisect_boundary(lambda x: not e.is_unitary_at(x), float(T), t_ab, REFINE_XTOL)
+                return bisect_boundary(lambda xs: ~e.is_unitary_at(xs), float(T), t_ab, REFINE_XTOL)
         return 0.0
     return t_ab
 
@@ -297,9 +288,7 @@ def compute_t_star(
             i = int(idx[0])
             if i == 0:
                 return float(ts[0])
-            return bisect_root(
-                lambda x: e.f_at(x) - target, float(ts[i - 1]), float(ts[i]), 1e-6
-            )
+            return bisect_root(lambda x: e.f_at(x) - target, float(ts[i - 1]), float(ts[i]), 1e-6)
         # f only touches f(T) tangentially at its revival peak
         tp, fp = _max_after(e, tau, horizon)
         if fp >= target - 1e-6:

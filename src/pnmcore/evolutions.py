@@ -25,7 +25,7 @@ from .errors import (
     UndefinedIntermediateMap,
 )
 from .exprparse import ScalarFn
-from .numerics import CumulativeIntegral, bisect_root
+from .numerics import CumulativeIntegral, bisect_root, ternary_search
 
 F_ZERO_TOL = 1e-12
 
@@ -140,6 +140,11 @@ class Evolution:
         inverse, if any."""
         return None
 
+    def _first_zero(self, f, horizon: float) -> Optional[float]:
+        """find_first_zero(f, horizon), searched once per instance and horizon."""
+        zeros = self.__dict__.setdefault("_first_zeros", {})
+        return zeros[horizon] if horizon in zeros else zeros.setdefault(horizon, find_first_zero(f, horizon))
+
     def composition_bound(self, lam, tol: float) -> float:
         """analysis.verify_composition_rules' B for a scan of the map eigenvalues lam."""
         return math.inf
@@ -153,21 +158,19 @@ class Depolarizing(Evolution):
     dim: int = 2
     singular_tol = F_ZERO_TOL
 
-    def f_at(self, t: float) -> float:
-        v = float(self.f(t))
-        if not math.isfinite(v):
-            raise NonFiniteResult(f"f({t}) is not finite")
-        return v
+    def f_at(self, ts):
+        """f at a float (a float) or an array of times, raising where it is not finite."""
+        v = np.asarray(self.f(ts), dtype=float)
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            raise NonFiniteResult(f"f({np.broadcast_to(ts, bad.shape)[bad].flat[0]}) is not finite")
+        return v if v.ndim else float(v)
 
     def map_eigenvalues(self, ts) -> np.ndarray:
         return np.asarray(self.f(ts), dtype=float)[..., None]
 
     def dynamical_eigenvalues(self, ts) -> np.ndarray:
-        lam = self.map_eigenvalues(ts)
-        bad = ~np.isfinite(lam[..., 0])
-        if np.any(bad):
-            raise NonFiniteResult(f"f({np.broadcast_to(ts, bad.shape)[bad].flat[0]}) is not finite")
-        return lam
+        return np.asarray(self.f_at(ts))[..., None]
 
     def min_choi(self, lam):
         return (1.0 - lam[..., 0]) / self.dim**2
@@ -185,11 +188,11 @@ class Depolarizing(Evolution):
     def singular(self, s: float) -> Exception:
         return UndefinedIntermediateMap(f"f({s}) = 0: the dynamical map is non-invertible at s={s}")
 
-    def is_unitary_at(self, t: float) -> bool:
-        return abs(self.f_at(t) - 1.0) <= 1e-9
+    def is_unitary_at(self, t):
+        return np.abs(self.f_at(t) - 1.0) <= 1e-9
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
-        return find_first_zero(self.f, horizon)
+        return self._first_zero(self.f, horizon)
 
 
 class PauliDiagonal(Evolution):
@@ -214,9 +217,9 @@ class PauliDiagonal(Evolution):
     def singular(self, s: float) -> Exception:
         return SingularMap(f"Pauli map not invertible at s={s}")
 
-    def is_unitary_at(self, t: float) -> bool:
+    def is_unitary_at(self, t):
         # a Pauli map is unitary iff it is conjugation by a single sigma_i
-        return bool(max(pauli_probs(self.map_eigenvalues(t))) >= 1.0 - 1e-9)
+        return np.maximum.reduce(pauli_probs(self.map_eigenvalues(t))) >= 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ class PauliProbs(PauliDiagonal):
         return self.map_eigenvalues(ts)
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
-        return find_first_zero(lambda ts: np.prod(self.map_eigenvalues(ts), axis=-1), horizon)
+        return self._first_zero(lambda ts: np.prod(self.map_eigenvalues(ts), axis=-1), horizon)
 
 
 @dataclass
@@ -338,8 +341,8 @@ class QuasiEternal(PauliDiagonal):
         t = np.asarray(ts, dtype=float)  # the z rate never exceeds the x and y rates alpha / 2
         return np.where(t < self.t_unitary, 0.0, -self.alpha / 2.0 * np.tanh(t - self.t_unitary - self.t0))
 
-    def is_unitary_at(self, t: float) -> bool:
-        return t <= self.t_unitary + 1e-12
+    def is_unitary_at(self, t):
+        return np.asarray(t) <= self.t_unitary + 1e-12
 
 
 @dataclass(frozen=True)
@@ -402,22 +405,11 @@ def find_first_zero(f, horizon: float, n: int = 2048) -> Optional[float]:
         if vals[i] == 0.0:
             return float(ts[i])
         if cross[i - 1]:
-            return bisect_root(lambda x: float(f(x)), float(ts[i - 1]), float(ts[i]), xtol=1e-9)
-        x = _refine_min_abs(f, float(ts[i - 1]), float(ts[i + 1]))
+            return bisect_root(f, float(ts[i - 1]), float(ts[i]), xtol=1e-9)
+        x = ternary_search(f, float(ts[i - 1]), float(ts[i + 1]), lambda fa, fb: abs(fa) < abs(fb), 80)
         if abs(float(f(x))) <= 1e-10:
             return x
     return None
-
-
-def _refine_min_abs(f, lo: float, hi: float) -> float:
-    for _ in range(80):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if abs(float(f(a))) < abs(float(f(b))):
-            hi = b
-        else:
-            lo = a
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -268,12 +268,7 @@ def eb_time_qubit(e: Evolution, horizon: float, n: int = 400) -> Optional[float]
     if np.all(eb):
         return 0.0
     idx = int(np.flatnonzero(~eb)[-1]) + 1  # onset of the trailing all-EB suffix
-    return bisect_boundary(
-        lambda x: not _is_eb(e, x),
-        float(times[idx - 1]),
-        float(times[idx]),
-        xtol=1e-5,
-    )
+    return bisect_boundary(lambda xs: ~_is_eb(e, xs), float(times[idx - 1]), float(times[idx]), xtol=1e-5)
 
 
 @dataclass(frozen=True)

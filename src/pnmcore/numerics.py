@@ -1,5 +1,6 @@
 """Quadrature (adaptive Simpson, and panel Gauss-Legendre cumulative
-integrals for arrays of times) and bisection refinement."""
+integrals for arrays of times), and bisection and ternary-search
+refinement in vectorized rounds."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import PnmError, QuadratureFailure
 
 PANEL_WIDTH = 0.125  # cumulative integrals use panels [k w, (k + 1) w]
 PANELS_PER_CHUNK = 8
 PANEL_TOL = 1e-13  # per panel; a piece of width w gets w / PANEL_WIDTH of it
 GL_ORDER = 10
 MAX_LEVEL = 20
+EVAL_ERRORS = (PnmError, ArithmeticError, ValueError)  # what evaluating a family can raise
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 40) -> float:
@@ -50,34 +52,92 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def bisect_boundary(pred, lo: float, hi: float, xtol: float = 1e-4) -> float:
-    """Boundary of a predicate that is True at lo and False at hi.
+# Steps a round looks ahead: it lists the 2^k - 1 probes of a bisection's next
+# k steps (2^(k+1) - 2 for a ternary search) with a few numpy calls a step and
+# evaluates them in one array call, about as fast as one probe.  On depolarizing
+# refinements k = 5 and 6 tied, 4 was 5% slower, 7 10% and 8 30%.
+ROUND_STEPS = 6
 
-    Returns a point within xtol of the transition.
-    """
+
+# A step on [lo, hi], floats or arrays: its probes, and the brackets it keeps on True and on False.
+def _halves(lo, hi):
+    mid = 0.5 * (lo + hi)
+    return (mid,), ((mid, hi), (lo, mid))
+
+
+def _thirds(lo, hi):
+    third = (hi - lo) / 3.0
+    a, b = lo + third, hi - third
+    return (a, b), ((lo, b), (a, hi))
+
+
+class _Rounds:
+    """fn at the probes of a search whose steps are `split`.  A probe x not yet
+    evaluated, in the bracket [lo, hi] the search has reached, starts a round:
+    one array call at x and every probe of the next ROUND_STEPS steps, on which
+    the search replays its own steps, bounds and tie rules, to the float it
+    would get one probe at a time.  If the call raises one of EVAL_ERRORS or
+    gives a non-finite value, maybe off the search's path, x is evaluated
+    alone, so that errors surface where, and as, they would without rounds."""
+
+    def __init__(self, fn, split):
+        self.fn, self.split, self.values = fn, split, {}
+
+    def __call__(self, x: float, lo: float, hi: float):
+        if x not in self.values:
+            points, lo, hi = [np.array([x])], np.array([lo]), np.array([hi])
+            for _ in range(ROUND_STEPS):
+                probes, ((lo1, hi1), (lo2, hi2)) = self.split(lo, hi)
+                points += probes
+                lo, hi = np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2))
+            points = np.concatenate(points)
+            try:
+                values = np.asarray(self.fn(points))
+            except EVAL_ERRORS:
+                values = np.array([np.nan])
+            if np.all(np.isfinite(values)):
+                self.values.update(zip(points.tolist(), values.tolist()))
+            else:
+                self.values[x] = np.asarray(self.fn(np.array([x]))).tolist()[0]
+        return self.values[x]
+
+
+def bisect_boundary(pred, lo: float, hi: float, xtol: float = 1e-4) -> float:
+    """Within xtol of where pred, taking an array of points, turns from True at lo to False at hi."""
+    at = _Rounds(pred, _halves)
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
+        (mid,), (true, false) = _halves(lo, hi)
+        lo, hi = true if at(mid, lo, hi) else false
     return 0.5 * (lo + hi)
 
 
 def bisect_root(f, lo: float, hi: float, xtol: float = 1e-6) -> float:
-    """Root of a continuous f with f(lo) and f(hi) of opposite sign."""
-    flo = f(lo)
+    """Root of a continuous f, taking an array of points, of opposite signs at lo and hi."""
+    at = _Rounds(f, _halves)
+    flo = at(lo, lo, hi)
     if flo == 0.0:
         return lo
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
+        (mid,), _ = _halves(lo, hi)
+        fmid = at(mid, lo, hi)
         if fmid == 0.0:
             return mid
         if (flo > 0) != (fmid > 0):
             hi = mid
         else:
             lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def ternary_search(fn, lo: float, hi: float, keep_left, steps: int, xtol: float = 0.0) -> float:
+    """Ternary search of fn, taking an array of points, on [lo, hi], keeping [lo, b] of probes a < b
+    if keep_left(fn(a), fn(b)), else [a, hi]: the middle after `steps` steps or once narrower than xtol."""
+    at = _Rounds(fn, _thirds)
+    for _ in range(steps):
+        (a, b), (left, right) = _thirds(lo, hi)
+        lo, hi = left if keep_left(at(a, lo, hi), at(b, lo, hi)) else right
+        if hi - lo < xtol:
+            break
     return 0.5 * (lo + hi)
 
 

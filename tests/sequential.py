@@ -1,0 +1,70 @@
+"""The refinement searches as they evaluate their function: one probe at a
+time, on floats.  The tests hold the array-round searches of
+pnmcore.numerics to these: the same probes, bounds and tie rules, so the
+same float."""
+
+
+def bisect_boundary(pred, lo, hi, xtol=1e-4):
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_root(f, lo, hi, xtol=1e-6):
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def ternary_search(fn, lo, hi, keep_left, steps, xtol=0.0):
+    for _ in range(steps):
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        if keep_left(fn(a), fn(b)):
+            hi = b
+        else:
+            lo = a
+        if hi - lo < xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def refine_peak(fn, lo, hi):
+    """Ternary search of the maximum of fn, as analysis._refine_peak was."""
+    for _ in range(200):
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        if fn(a) < fn(b):
+            lo = a
+        else:
+            hi = b
+        if hi - lo < 1e-12:
+            break
+    x = 0.5 * (lo + hi)
+    return x, fn(x)
+
+
+def refine_min_abs(f, lo, hi):
+    """Ternary search of the minimum of |f|, as find_first_zero's was."""
+    for _ in range(80):
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        if abs(float(f(a))) < abs(float(f(b))):
+            hi = b
+        else:
+            lo = a
+    return 0.5 * (lo + hi)

@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
-from pnmcore import linalg
+from pnmcore import exprparse, linalg
 from pnmcore.analysis import CLASS_NAMES, CptpGrid
 from pnmcore.cli import _JSON_WIDTH, _encode_repr, export_grid, load_config, main, run_report
 from pnmcore.errors import ParseError, SchemaError
@@ -70,6 +70,18 @@ def test_run_report_paper_example():
     assert abs(doc["core"]["measures"]["M_D"] - 0.983) < 0.01
     assert abs(doc["core"]["measures"]["M_mix"] - 0.329) < 0.005
     assert doc["composition_rule_violations"] == 0
+
+
+def test_run_report_paper_example_evaluates_f_at_most_120_times(monkeypatch):
+    # every refinement evaluates f in array rounds: 16 one-time and 70 array
+    # evaluations, from 268 and 66 when it took one probe at a time; a call
+    # counts once whether it is given one time or many
+    calls = []
+    evaluate = exprparse.eval_ast
+    monkeypatch.setattr(exprparse, "eval_ast", lambda node, t: calls.append(np.size(t)) or evaluate(node, t))
+    doc = run_report(load_config('{"evolution": {"preset": "paper-example"}}'))
+    assert doc["classification"] == "NNM" and "core" in doc
+    assert len(calls) <= 120
 
 
 def test_run_report_eternal():

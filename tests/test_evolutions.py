@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
-from pnmcore import linalg
+from pnmcore import evolutions, linalg
+from pnmcore.cli import load_config, run_report
 from pnmcore.errors import CPTPViolation, UndefinedIntermediateMap
-from pnmcore.evolutions import _refine_min_abs, find_first_zero
-from pnmcore.numerics import bisect_root
+from pnmcore.evolutions import find_first_zero
+from tests import sequential
 
 
 def test_t0_alpha_values():
@@ -55,6 +56,37 @@ def test_non_bijective_depolarizing():
     assert grid.regularized
     assert grid.value[2, 4] < 0  # (s, t) = (0.5, 1.0)
     assert grid.value[1, 2] > 0  # (s, t) = (0.25, 0.5)
+
+
+def test_run_report_searches_each_zero_once(monkeypatch):
+    # validate_spec, scan_regions and rhp_measure all ask the parent for its
+    # zero on [0, 5]; the core is asked once, on its own horizon
+    searched = []
+    search = evolutions.find_first_zero
+    monkeypatch.setattr(evolutions, "find_first_zero", lambda f, h: searched.append((f, h)) or search(f, h))
+    doc = run_report(load_config('{"evolution": {"preset": "paper-example"}}'))
+    assert doc["classification"] == "NNM"
+    assert len(searched) == len(set(searched)) == 2
+
+
+PAULI_ZERO = ("0.5*(1-exp(-t))", "0.5*(1-exp(-t))", "0.25*t")  # lambda_z = 2 exp(-t) - 1 hits 0 at ln 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: p.make_preset("appendix-f"),
+        lambda: p.Depolarizing(p.ScalarFn.parse("cos(2*t)")),
+        lambda: p.PauliProbs(*map(p.ScalarFn.parse, PAULI_ZERO)),
+    ],
+)
+def test_non_bijective_time_does_not_depend_on_query_order(make):
+    horizons = [5.0, 0.3, 2.0, 0.75, 5.0]
+    fresh = [make().non_bijective_time(h) for h in horizons]
+    e = make()
+    assert [e.non_bijective_time(h) for h in reversed(horizons)] == fresh[::-1]
+    assert [e.non_bijective_time(h) for h in horizons] == fresh
+    assert fresh[0] is not None and fresh[1] is None
 
 
 def test_pauli_probs_eigenvalue_conversions():
@@ -166,7 +198,7 @@ def test_make_preset_unknown():
 
 def _reference_first_zero(f, horizon, n=2048):
     """find_first_zero as a loop over the samples, as it was written before
-    the scan was vectorized."""
+    the scan was vectorized, refining one probe at a time."""
     ts = np.linspace(0.0, horizon, n)
     vals = np.asarray(f(ts), dtype=float)
     for i in range(1, len(ts)):
@@ -176,9 +208,9 @@ def _reference_first_zero(f, horizon, n=2048):
         if b == 0.0:
             return float(ts[i])
         if a > 0 > b or a < 0 < b:
-            return bisect_root(lambda x: float(f(x)), float(ts[i - 1]), float(ts[i]), xtol=1e-9)
+            return sequential.bisect_root(lambda x: float(f(x)), float(ts[i - 1]), float(ts[i]), xtol=1e-9)
         if abs(b) < 1e-4 and i + 1 < len(ts) and abs(vals[i + 1]) >= abs(b) and abs(a) >= abs(b):
-            x = _refine_min_abs(f, float(ts[i - 1]), float(ts[i + 1]))
+            x = sequential.refine_min_abs(f, float(ts[i - 1]), float(ts[i + 1]))
             if abs(float(f(x))) <= 1e-10:
                 return x
     return None

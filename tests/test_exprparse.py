@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnmcore.errors import (
     ExprSyntaxError,
@@ -10,6 +12,7 @@ from pnmcore.errors import (
     UnknownFunction,
 )
 from pnmcore.exprparse import (
+    FUNCTIONS,
     MAX_DEPTH,
     Binary,
     Number,
@@ -139,3 +142,32 @@ def test_nesting_limit(build):
     assert math.isfinite(float(ScalarFn.parse(build(ok))(0.5)))
     with pytest.raises(ExprSyntaxError, match="nested deeper"):
         parse_expr(build(20 * MAX_DEPTH))
+
+
+# expression text over t: constants (the exponents 2, 0.5 and -1 among
+# them, where numpy's scalar and array powers used to differ), every
+# function, unary minus and the five operators
+_atoms = st.sampled_from(["t", "0", "1", "2", "3", "0.5", "1.5", "7.25", "1e-3", "-1"])
+expressions = st.recursive(
+    _atoms,
+    lambda sub: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(sorted(FUNCTIONS)), sub),
+        st.builds("-({})".format, sub),
+        st.builds("({}){}({})".format, sub, st.sampled_from("+-*/^"), sub),
+        st.builds("({})^{}".format, sub, st.sampled_from(["2", "0.5", "(-1)", "3", "(-2)"])),
+    ),
+    max_leaves=12,
+)
+times = st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e-300, 0.5, 2.0])), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=expressions, ts=times, seed=st.integers(0, 2**32 - 1))
+def test_scalar_and_array_evaluation_agree_bitwise(text, ts, seed):
+    f = ScalarFn.parse(text)
+    xs = np.concatenate([ts, np.random.default_rng(seed).uniform(-10.0, 10.0, 32)])
+    at_once = f(xs)
+    assert at_once.shape == xs.shape
+    for x, inside in zip(xs.tolist(), at_once):
+        alone = np.float64(f(x))
+        assert alone.tobytes() == inside.tobytes() or (np.isnan(alone) and np.isnan(inside)), (text, x, alone, inside)

@@ -32,7 +32,7 @@ from pnmcore.errors import (
 )
 from pnmcore.evolutions import F_ZERO_TOL, pauli_min_prob, pauli_probs
 from pnmcore.measures import _is_eb
-from pnmcore.numerics import bisect_boundary
+from tests.sequential import bisect_boundary
 
 HORIZON, N = 3.0, 40
 coef = st.floats(-0.4, 0.4).map(lambda x: round(x, 4))
