@@ -37,14 +37,16 @@ class CptpGrid:
     NaN.  cls holds the CPTP / NonCPTP / Undefined code per cell.
 
     A scanned grid is deferred: rows(r0, r1) computes rows r0:r1, columns
-    r0:n; min_value and verify_composition_rules fold those blocks, and
+    r0:n (rows(r0, r1, False) their values alone); min_value and
+    verify_composition_rules fold those blocks, or call fold(grid), and
     value and cls build the grid on first read.  bound is the B of
     verify_composition_rules, math.inf for a grid built from arrays.
     """
 
-    def __init__(self, horizon, n, times, value=None, cls=None, regularized=False, tol=SCAN_TOL, rows=None, bound=math.inf):
+    def __init__(self, horizon, n, times, value=None, cls=None, regularized=False, tol=SCAN_TOL, rows=None, bound=math.inf, fold=None):
         self.horizon, self.n, self.times, self.regularized, self.tol, self.bound = horizon, n, times, regularized, tol, bound
-        self.rows = rows or (lambda r0, r1: (value[r0:r1, r0:], cls[r0:r1, r0:]))
+        self.rows = rows or (lambda r0, r1, classes=True: (value[r0:r1, r0:], cls[r0:r1, r0:]) if classes else value[r0:r1, r0:])
+        self.fold = fold
         if rows is None:
             self._grid = value, cls
 
@@ -60,15 +62,17 @@ class CptpGrid:
 
     @functools.cached_property
     def _fold(self):
-        """(value, i, j) of the first smallest finite cell, and the band rows."""
+        """(value, i, j) of the first smallest finite cell; the band rows, with a cell in [-B, -tol)."""
+        if self.fold is not None:
+            return self.fold(self)
         best, band = None, []
         for r0 in range(0, self.n, SCAN_BLOCK):
-            v, c = self.rows(r0, min(r0 + SCAN_BLOCK, self.n))
+            v = self.rows(r0, min(r0 + SCAN_BLOCK, self.n), False)
             masked = np.where(np.isfinite(v), v, np.inf)
             i, j = divmod(int(np.argmin(masked)), v.shape[1])
             if best is None or masked[i, j] < best[0]:  # strictly: the first minimum wins
                 best = (masked[i, j], v[i, j], r0 + i, r0 + j)
-            band.append(r0 + np.flatnonzero(((c == NONCPTP) & ~(v < -self.bound)).any(axis=1)))
+            band.append(r0 + np.flatnonzero(((v < -self.tol) & ~(v < -self.bound)).any(axis=1)))
         return best[1:], np.concatenate(band)
 
     def min_value(self):
@@ -77,39 +81,82 @@ class CptpGrid:
         return float(v), float(self.times[i]), float(self.times[j])
 
 
+def _sorted_fold(grid: CptpGrid, x: np.ndarray, cell):
+    """CptpGrid._fold in O(n log n) where cell(x_i, x_j) falls as the
+    sample x_j = f(t_j) rises: IEEE rounding keeps (x_i - x_j) / d^2 and
+    (1 - x_j / x_i) / d^2 monotone, the latter once a negative x_i and all
+    x_j are negated (x_j / x_i and -x_j / -x_i round alike).  Row minima:
+    the diagonal's 0.0 and the cells at the largest and smallest finite
+    x_j, j > i, or the whole row where one is -inf; the first row with the
+    least is recomputed, for the blocked fold's bits and tie rule.  Band
+    rows: binary lifting over the sorted samples finds each row's cells in
+    [-B, -tol), and a sparse-table range maximum whether one has j > i.  A
+    cell with both depolarizing Choi eigenvalues, the lesser of a falling
+    and a rising x_j function, has the same row minima but band cells on
+    both sides of x_i."""
+    row = lambda i: np.where(np.isfinite(u := grid.rows(i, i + 1, False)[0]), u, np.inf)  # its finite cells
+    fin = np.where(np.isfinite(x), x, np.nan)[:0:-1]  # x_{n-1}, ..., x_1
+    c = cell(x[:-1], np.stack([np.fmax.accumulate(fin), np.fmin.accumulate(fin)])[:, ::-1])
+    low = np.append(np.fmin(np.fmin(c[0], c[1]), 0.0), 0.0)  # a NaN candidate has no finite cell
+    for i in np.flatnonzero((c == -np.inf).any(axis=0)):
+        low[i] = row(i).min()
+    i = int(np.argmax(low == low.min()))
+    j = int(np.argmin(v := row(i)))
+    m = int(np.count_nonzero(~np.isnan(x)))  # NaN sorts last: its cells are NaN, never in the band
+    order, flip = np.argsort(x)[:m], np.signbit(x) & (not grid.regularized)
+    # binary lifting over the samples padded with +inf, whose cell is < -tol (< -B) if any is: pos stops at m
+    y = np.concatenate([x[order], np.full(m, np.inf), -x[order][::-1], np.full(m, np.inf)])
+    at, xi, pos = np.where(flip, 2 * m, 0) - 1, np.where(flip, -x, x), np.zeros((2, len(x)), dtype=np.intp)
+    cut = -np.array([[grid.tol], [grid.bound]])
+    for step in (1 << np.arange(m.bit_length()))[::-1]:  # pos[0], pos[1]: first cell < -tol, < -B
+        k = pos + step
+        pos = np.where(cell(xi, y[at + k]) < cut, pos, k)
+    a, b = np.minimum(pos, m)
+    lo, hi = np.where(flip, m - b, a), np.where(flip, m - a, b)
+    r = np.flatnonzero(hi > lo)
+    if len(r):
+        top = np.tile(order, (m.bit_length(), 1))  # top[k, p]: max(order[p : p + 2^k])
+        for k, h in enumerate(1 << np.arange(len(top) - 1), 1):
+            top[k, : m - h] = np.maximum(top[k - 1, : m - h], top[k - 1, h:])
+        k = np.frexp(hi[r] - lo[r])[1] - 1
+        r = r[np.maximum(top[k, lo[r]], top[k, hi[r] - (1 << k)]) > r]
+    return (v[j], i, i + j), r
+
+
 def scan_regions(e: Evolution, horizon: float, n: int = 400, tol: float = SCAN_TOL) -> CptpGrid:
     if horizon <= 0 or n < 16:
         raise ValueError("need horizon > 0 and n >= 16")
     times = np.linspace(0.0, horizon, n)
-    regularized = isinstance(e, Depolarizing) and e.non_bijective_time(horizon) is not None
-    if regularized:
-        # B: legs >= -tol telescope, f_i - f_k = (f_i - f_j) + (f_j - f_k); a NaN f_j reads CPTP both ways
-        fv = np.asarray(e.f(times), dtype=float)
-        bound = math.inf if np.isnan(fv).any() else 2 * tol
-    else:
-        eig = e.map_eigenvalues(times)  # (n, m)
-        bound = e.composition_bound(eig, tol)
-        by_eig = np.ascontiguousarray(eig.T)  # (m, n): each eigenvalue's ratios contiguous
+    depolarizing = isinstance(e, Depolarizing)
+    regularized = depolarizing and e.non_bijective_time(horizon) is not None
+    x = np.ascontiguousarray(e.map_eigenvalues(times).T)  # (m, n): each eigenvalue's samples contiguous
+    # regularized B: legs >= -tol telescope, f_i - f_k = (f_i - f_j) + (f_j - f_k); a NaN f_j reads CPTP both ways
+    bound = (math.inf if np.isnan(x).any() else 2 * tol) if regularized else e.composition_bound(x, tol)
 
-    def rows(r0, r1):
-        if regularized:
-            # f(s) lambda_{t,s} = (f(s) - f(t)) / d^2: finite, of lambda's sign, at f(s) = 0 too
-            value = (fv[r0:r1, None] - fv[None, r0:]) / e.dim**2
-            undefined = np.broadcast_to(np.abs(fv[r0:r1, None]) <= 1e-9, value.shape)
-        else:
-            # lambda(t_j) / lambda(t_i); overflow too: cells below the diagonal are discarded
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                value = e.min_choi(np.moveaxis(by_eig[:, None, r0:] / by_eig[:, r0:r1, None], 0, -1))
-            undefined = ~np.isfinite(value)
+    def cell(xi, xj):  # the cells at map eigenvalue samples xi (at s) and xj (at t), component first
+        with np.errstate(all="ignore"):  # overflow and 0 / 0 too: cells below the diagonal are discarded
+            if regularized:
+                # f(s) lambda_{t,s} = (f(s) - f(t)) / d^2: finite, of lambda's sign, at f(s) = 0 too
+                return (xi[0] - xj[0]) / e.dim**2
+            return e.min_choi((xj / xi).T).T  # lambda(t) / lambda(s), components last
+
+    def rows(r0, r1, classes=True):
+        value = cell(x[:, r0:r1, None], x[:, None, r0:])
+        if classes:
+            undefined = np.broadcast_to(np.abs(x[0, r0:r1, None]) <= 1e-9, value.shape) if regularized else ~np.isfinite(value)
+            cls = np.where(undefined, np.int8(UNDEFINED), np.int8(CPTP))
         lower = np.tri(r1 - r0, k=-1, dtype=bool)  # every cell below the diagonal is in the first r1 - r0 columns
-        cls = np.where(undefined, np.int8(UNDEFINED), np.int8(CPTP))
-        value[:, : r1 - r0][lower], cls[:, : r1 - r0][lower] = np.nan, CPTP
+        value[:, : r1 - r0][lower] = np.nan
         np.fill_diagonal(value, 0.0)
+        if not classes:
+            return value
+        cls[:, : r1 - r0][lower] = CPTP
         cls[value < -tol] = NONCPTP  # a negative cell is NonCPTP even if undefined
         return value, cls
 
-    x = 1.0 + e.dim**2 * tol  # verify_composition_rules' rounding margin 1e-12 x^3 (inf if it overflows)
-    return CptpGrid(horizon, n, times, regularized=regularized, tol=tol, rows=rows, bound=bound + 1e-12 * x * x * x)
+    w = 1.0 + e.dim**2 * tol  # verify_composition_rules' rounding margin 1e-12 w^3 (inf if it overflows)
+    fold = functools.partial(_sorted_fold, x=x[0], cell=lambda a, b: cell(a[None], b[None])) if depolarizing else None
+    return CptpGrid(horizon, n, times, regularized=regularized, tol=tol, rows=rows, bound=bound + 1e-12 * w * w * w, fold=fold)
 
 
 @dataclass(frozen=True)
@@ -367,7 +414,8 @@ def verify_composition_rules(grid: CptpGrid) -> int:
     it over the NonCPTP cells.  float32 is exact here, since a cell holds at
     most n - 2 < 2**24 paths, and much faster than an integer matmul.
 
-    Only band rows are multiplied, by this theorem: in a grid scanned from
+    Only band rows are multiplied (grid._fold finds them, for a depolarizing
+    grid from its sorted samples), by this theorem: in a grid scanned from
     a diagonal family, a NonCPTP cell below -B has no CPTP·CPTP path, so
     rows with no NonCPTP cell in [-B, -tol) add nothing.  B is the family's
     composition_bound (the regularized scan's is in scan_regions), exact

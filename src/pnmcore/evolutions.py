@@ -76,9 +76,20 @@ def pauli_probs(lam):
 
 
 def pauli_min_prob(lam):
-    """Smallest Choi eigenvalue of Pauli maps with eigenvalues lam[..., k]."""
-    p0, px, py, pz = pauli_probs(lam)
-    return np.minimum(np.minimum(p0, px), np.minimum(py, pz))
+    """Smallest Choi eigenvalue of Pauli maps with eigenvalues lam[..., k]:
+    pauli_probs' sums in its order, in place, then one /4 (it rounds monotonically)."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 1:  # in-place sums need arrays
+        return pauli_min_prob(lam[None])[0]
+    lx, ly, lz = np.moveaxis(lam, -1, 0)  # contiguous blocks where lam views component-first ratios
+    px, pz = 1.0 + lx, 1.0 - lx
+    p0, py = px + ly, pz + ly
+    p0 += lz
+    py -= lz
+    np.subtract(np.subtract(px, ly, out=px), lz, out=px)
+    np.add(np.subtract(pz, ly, out=pz), lz, out=pz)
+    np.minimum(np.minimum(p0, px, out=p0), np.minimum(py, pz, out=py), out=p0)
+    return np.divide(p0, 4.0, out=p0)
 
 
 class Evolution:

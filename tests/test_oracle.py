@@ -6,8 +6,9 @@ hand-written ones they replaced; the closed-form RHP measure against the
 grid-step sum of Choi trace-norm excesses it replaced; the triangular,
 row-blocked region scan against the full-square scan it replaced; tau
 and T from whole-grid evaluations against the one-time-at-a-time loops they
-replaced; and the composition count and minimum folded over the deferred
-grid's row blocks against the full-grid matmul and argmin they replaced."""
+replaced; and the composition count, minimum and band rows folded over the
+deferred grid's row blocks, or over a depolarizing scan's sorted samples,
+against the full-grid matmul and argmin they replaced."""
 
 import math
 
@@ -30,7 +31,7 @@ from pnmcore.errors import (
     SingularMap,
     UndefinedIntermediateMap,
 )
-from pnmcore.evolutions import F_ZERO_TOL, pauli_min_prob, pauli_probs
+from pnmcore.evolutions import F_ZERO_TOL, PAPER_EXAMPLE_F, pauli_min_prob, pauli_probs
 from pnmcore.measures import _is_eb
 from tests.sequential import bisect_boundary
 
@@ -697,8 +698,8 @@ def fold_cases(draw):
 
 
 def _check_fold(e, horizon, n, tol):
-    """The deferred grid's count and minimum against the full-grid ones, and
-    its materialized grid against the full-square scan."""
+    """The deferred grid's count, minimum and band rows against the
+    full-grid ones, and its materialized grid against the full-square scan."""
     grid, err = _outcome_msg(lambda: p.scan_regions(e, horizon, n, tol))
     with np.errstate(over="ignore"):  # the full square overflows below the diagonal
         ref, ref_err = _outcome_msg(lambda: _reference_scan(e, horizon, n, tol))
@@ -715,6 +716,8 @@ def _check_fold(e, horizon, n, tol):
     assert not np.any(value[paths > 0] < -grid.bound)  # the theorem, cell by cell
     i, j = np.unravel_index(np.argmin(np.where(np.isfinite(value), value, np.inf)), value.shape)
     assert repr(low) == repr((float(value[i, j]), float(grid.times[i]), float(grid.times[j])))
+    band = np.flatnonzero(((value < -grid.tol) & ~(value < -grid.bound)).any(axis=1))
+    assert np.array_equal(grid._fold[1], band)  # the rows with a cell in [-B, -tol)
     return grid, count
 
 
@@ -738,6 +741,51 @@ def test_band_rows_are_multiplied(e):
     # within 3% of -B: the band branch counts them, and a smaller B fails
     grid, count = _check_fold(e, HORIZON, 150, 1e-2)
     assert math.isfinite(grid.bound) and len(grid._fold[1]) and count > 0
+
+
+def _blocked_fold(grid):
+    """The grid's fold over every cell, a block of rows at a time."""
+    blocked = p.CptpGrid(grid.horizon, grid.n, grid.times, regularized=grid.regularized, tol=grid.tol, rows=grid.rows, bound=grid.bound)
+    assert grid.fold is not None and blocked.fold is None
+    return blocked._fold
+
+
+@pytest.mark.parametrize(
+    "f, horizon, n",
+    [
+        ("sqrt(1-0.6*t)", 2.0, 64),  # NaN samples past t = 5/3
+        ("exp(-800*t)", 0.9, 64),  # ratios of subnormal samples
+        ("exp(-800*t)", 2.0, 64),  # f underflows to 0: a regularized scan
+        ("exp(-740*(t-1)^2)", 2.0, 64),  # f(0) is subnormal: row 0's ratios overflow, -inf cells
+        ("1", HORIZON, 64),  # every cell 0: each row's minimum is its diagonal
+        ("1/(1-t)", 2.0, 64),  # a pole: the regularized scan
+        ("-1/(1-t)", 2.0, 65),  # f(1) = -inf: its row's cells are all -inf
+        ("-exp(-0.3*t)*(1+0.5*cos(2*t))/1.5", HORIZON, 64),  # f < 0: every x_i and x_j negated
+        ("exp(-0.3*t)*(1+0.5*cos(2*t))/1.5", HORIZON, 16),
+        ("exp(-0.5*t)*cos(2*t)", HORIZON, 17),
+        (PAPER_EXAMPLE_F, 3.0, 2048),
+        ("exp(-0.3*t)*(1+0.5*cos(2*t))/1.5", HORIZON, 2048),
+    ],
+)
+@pytest.mark.parametrize("tol", [SCAN_TOL, 1e-2])
+def test_sorted_fold_matches_the_blocked_fold(f, horizon, n, tol):
+    # bit for bit: the first smallest cell and the band rows
+    for dim in (2, 3):
+        e = p.Depolarizing(p.ScalarFn.parse(f), dim=dim)
+        grid = p.scan_regions(e, horizon, n, tol)
+        (v, i, j), band = grid._fold
+        (want_v, want_i, want_j), want_band = _blocked_fold(grid)
+        assert (np.float64(v).tobytes(), i, j) == (np.float64(want_v).tobytes(), want_i, want_j)
+        assert np.array_equal(band, want_band)
+        if n <= 64 and not np.isnan(e.f(grid.times)).any():  # the full square calls a NaN cell CPTP
+            _check_fold(e, horizon, n, tol)
+
+
+def test_sorted_fold_at_a_pole():
+    grid = p.scan_regions(p.Depolarizing(p.ScalarFn.parse("1/(1-t)")), 2.0, 64)
+    assert grid.regularized
+    v, s, t = grid.min_value()  # (f(s) - f(t)) / 4 at f(s) = 1 / (1 - 64/63), f(t) = -1
+    assert (round(v, 9), round(s, 4), t) == (-15.5, 1.0159, 2.0)
 
 
 def test_negative_sample_makes_every_noncptp_row_a_band_row():
