@@ -25,7 +25,7 @@ from .errors import (
     UndefinedIntermediateMap,
 )
 from .exprparse import ScalarFn
-from .numerics import CumulativeIntegral, bisect_root, ternary_search
+from .numerics import EVAL_ERRORS, CumulativeIntegral, bisect_root, ternary_search
 
 F_ZERO_TOL = 1e-12
 
@@ -115,15 +115,20 @@ class Evolution:
         return self.map_eigenvalues(ts)
 
     def intermediate_eigenvalues(self, s, t) -> np.ndarray:
-        """lambda(t) / lambda(s), the eigenvalues of V_{t,s}, broadcast over s and t."""
-        if not (np.all(0 <= np.asarray(s)) and np.all(np.asarray(s) <= t)):
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-        at_s = self.map_eigenvalues(s)
+        """lambda(t) / lambda(s), the eigenvalues of V_{t,s}, broadcast over s and t, in one
+        map_eigenvalues call; if it raises, lambda(s), its check and lambda(t) raise in turn."""
+        _check_order(s, t)
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        try:
+            lam = self.map_eigenvalues(np.concatenate((s.ravel(), t.ravel())))
+            at_s, at_t = lam[: s.size].reshape(s.shape + lam.shape[-1:]), lam[s.size :].reshape(t.shape + lam.shape[-1:])
+        except EVAL_ERRORS:
+            at_s, at_t = self.map_eigenvalues(s), None
         singular = np.min(np.abs(at_s), axis=-1) <= self.singular_tol
         if np.any(singular):
             raise self.singular(float(np.ravel(s)[np.argmax(singular)]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.map_eigenvalues(t) / at_s
+            return (self.map_eigenvalues(t) if at_t is None else at_t) / at_s
 
     def dynamical_map(self, t: float) -> linalg.Superoperator:
         return self.superoperator(self.dynamical_eigenvalues(t))
@@ -243,11 +248,14 @@ class PauliProbs(PauliDiagonal):
     dim: int = 2
     singular_tol = 1e-12
 
+    @functools.cached_property
+    def _fns(self) -> tuple:  # p_x, p_y, p_z, equal parsed expressions one object
+        return tuple(_once_each((self.p_x, self.p_y, self.p_z), lambda p: p, lambda p: getattr(p, "ast", p)))
+
     def probs_at(self, ts):
         """(p_0, p_x, p_y, p_z) at a float or an array of times."""
         ts = np.asarray(ts, dtype=float)
-        fns = (self.p_x, self.p_y, self.p_z)
-        px, py, pz = (np.broadcast_to(np.asarray(p(ts), dtype=float), ts.shape) for p in fns)
+        px, py, pz = (np.broadcast_to(np.asarray(p, dtype=float), ts.shape) for p in _once_each(self._fns, lambda p: p(ts)))
         bad = ~np.isfinite(px + py + pz)
         if np.any(bad):
             raise NonFiniteResult(f"Pauli probabilities not finite at t={ts[bad].flat[0]}")
@@ -278,24 +286,24 @@ class PauliRates(PauliDiagonal):
     g_y: ScalarFn
     g_z: ScalarFn
     dim: int = 2
-    _integrals: tuple = field(init=False, repr=False, compare=False)
+    _integrals: tuple = field(init=False, repr=False, compare=False)  # equal rate expressions share one
 
     def __post_init__(self):
-        self._integrals = tuple(CumulativeIntegral(g) for g in (self.g_x, self.g_y, self.g_z))
+        self._integrals = tuple(_once_each((self.g_x, self.g_y, self.g_z), CumulativeIntegral, lambda g: getattr(g, "ast", g)))
 
     def map_eigenvalues(self, ts) -> np.ndarray:
         return np.exp(self.log_map_eigenvalues(ts))
 
     def log_map_eigenvalues(self, ts) -> np.ndarray:
-        ix, iy, iz = (integral(ts) for integral in self._integrals)
+        ix, iy, iz = _once_each(self._integrals, lambda q: q(ts))
         return np.stack([-2.0 * (iy + iz), -2.0 * (ix + iz), -2.0 * (ix + iy)], axis=-1)
 
     def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
-        if i is None:
-            return np.stack([self.rates(ts, k) for k in range(3)], -1)
         ts = np.asarray(ts, dtype=float)
-        g = np.broadcast_to(np.asarray((self.g_x, self.g_y, self.g_z)[i](ts), dtype=float), ts.shape)
-        return np.where(np.isfinite(g), g, 0.0)
+        integrals = self._integrals if i is None else self._integrals[i : i + 1]
+        g = np.stack([np.broadcast_to(np.asarray(v, dtype=float), ts.shape) for v in _once_each(integrals, lambda q: q.fn(ts))], -1)
+        g = np.where(np.isfinite(g), g, 0.0)
+        return g if i is None else g[..., 0]
 
 
 def pauli_from_rates(g_x: ScalarFn, g_y: ScalarFn, g_z: ScalarFn, t: float):
@@ -365,12 +373,23 @@ class ShiftedPauli(PauliDiagonal):
     parent: PauliDiagonal
     shift: float
 
+    @functools.cached_property
+    def _at_shift(self) -> tuple:
+        """(lambda(shift), log |lambda(shift)|), once per core; raises, on every access, where it is singular."""
+        lam = self.parent.map_eigenvalues(self.shift)
+        if np.min(np.abs(lam)) <= self.parent.singular_tol:
+            raise self.parent.singular(float(self.shift))
+        return lam, self.parent.log_map_eigenvalues(self.shift)
+
     def map_eigenvalues(self, ts) -> np.ndarray:
-        return self.parent.intermediate_eigenvalues(self.shift, np.add(ts, self.shift))
+        t = np.add(ts, self.shift)
+        _check_order(self.shift, t)
+        at_shift = self._at_shift[0]  # before lambda(t + shift): its error comes first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.parent.map_eigenvalues(t) / at_shift
 
     def intermediate_eigenvalues(self, s, t) -> np.ndarray:
-        if not (np.all(0 <= np.asarray(s)) and np.all(np.asarray(s) <= t)):
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+        _check_order(s, t)
         return self.parent.intermediate_eigenvalues(np.add(s, self.shift), np.add(t, self.shift))
 
     def rate_min(self, ts) -> Optional[np.ndarray]:
@@ -383,15 +402,19 @@ class ShiftedPauli(PauliDiagonal):
         t = self.parent.non_bijective_time(horizon + self.shift)
         return t - self.shift if t is not None and t > self.shift else None
 
-    @functools.cached_property
-    def _log_at_shift(self) -> np.ndarray:
-        """log |lambda(shift)|, once per core; raises SingularMap, on every
-        access, where lambda(shift) vanishes."""
-        self.map_eigenvalues(0.0)
-        return self.parent.log_map_eigenvalues(self.shift)
-
     def log_map_eigenvalues(self, ts) -> np.ndarray:
-        return self.parent.log_map_eigenvalues(np.add(ts, self.shift)) - self._log_at_shift
+        return self.parent.log_map_eigenvalues(np.add(ts, self.shift)) - self._at_shift[1]
+
+
+def _check_order(s, t):
+    if not (np.all(0 <= np.asarray(s)) and np.all(np.asarray(s) <= t)):
+        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+
+
+def _once_each(items, call, key=id) -> list:
+    """[call(x) for x in items], called once per distinct key(x)."""
+    done = {}
+    return [done[k] if (k := key(x)) in done else done.setdefault(k, call(x)) for x in items]
 
 
 def _log_cosh(x):
@@ -439,20 +462,20 @@ def validate_spec(evolution: Evolution, horizon: float, n: int = 256) -> Validat
         raise ValueError("need horizon > 0 and n >= 2")
     ts = np.linspace(0.0, horizon, n)
     t_nb = evolution.non_bijective_time(horizon)
-    zero = "f hits zero" if isinstance(evolution, Depolarizing) else "a map eigenvalue hits zero"
+    depolarizing = isinstance(evolution, Depolarizing)
+    zero = "f hits zero" if depolarizing else "a map eigenvalue hits zero"
     notes = () if t_nb is None else (f"non-bijective at t = {t_nb:.6f} ({zero})",)
-    if isinstance(evolution, Depolarizing):
+    if depolarizing:  # f in [0, 1]; NaN is out of range
         vals = np.asarray(evolution.f(ts), dtype=float)
         f0_ok = bool(abs(vals[0] - 1.0) <= 1e-9)
-        bad = [(float(t), float(v)) for t, v in zip(ts, vals) if not -1e-9 <= v <= 1.0 + 1e-9]
-        cptp_ok = not bad and f0_ok
-        return ValidationReport(cptp_ok, f0_ok, tuple(bad), t_nb, cptp_ok, notes)
-
-    pmin = evolution.min_choi(evolution.map_eigenvalues(ts))
-    bad = [(float(t), float(m)) for t, m in zip(ts, pmin) if m < -1e-9]
-    f0_ok = bool(np.max(np.abs(evolution.dynamical_eigenvalues(0.0) - 1.0)) <= 1e-9)
-    ok = f0_ok and not bad
-    return ValidationReport(ok, f0_ok, tuple(bad), t_nb, not bad, notes)
+        out = ~((-1e-9 <= vals) & (vals <= 1.0 + 1e-9))
+    else:  # the smallest Choi eigenvalue >= 0
+        vals = evolution.min_choi(evolution.map_eigenvalues(ts))
+        out = vals < -1e-9
+        f0_ok = bool(np.max(np.abs(evolution.dynamical_eigenvalues(0.0) - 1.0)) <= 1e-9)
+    bad = tuple(zip(ts[out].tolist(), vals[out].tolist()))
+    cptp_ok = not bad and (f0_ok or not depolarizing)  # a depolarizing family's includes f(0) = 1
+    return ValidationReport(f0_ok and cptp_ok, f0_ok, bad, t_nb, cptp_ok, notes)
 
 
 PAPER_EXAMPLE_F = "(1-3*t+2*t^2+2*t^3)/(1+t^2+t^3+3*t^5)"

@@ -10,6 +10,7 @@ labels them as such.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -290,6 +291,7 @@ class MeasureReport:
     exact: bool = True
 
 
+@functools.lru_cache(maxsize=32)  # one pair per dim
 def _default_pair(dim: int) -> StatePair:
     d = np.zeros((dim, dim), dtype=complex)
     d[0, 0], d[1, 1] = 1.0, -1.0

@@ -156,8 +156,8 @@ class CumulativeIntegral:
     chunk of panels, wherever a Gauss-Legendre estimate and the sum over its
     halves disagree by more than their share of PANEL_TOL, at most MAX_LEVEL
     times.  The pieces and prefix sums are cached one fixed chunk at a time,
-    so the value at t never depends on earlier queries.  Non-finite values
-    of fn count as 0 (a removable singularity such as sin(1/t) at t = 0)."""
+    so the value at t never depends on earlier queries or on the other times asked for with it.
+    Non-finite values of fn count as 0 (a removable singularity such as sin(1/t) at t = 0)."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -168,7 +168,7 @@ class CumulativeIntegral:
         x, weights = _gauss_legendre()
         nodes = a[:, None] + w[:, None] * x
         v = np.broadcast_to(np.asarray(self.fn(nodes), dtype=float), nodes.shape)
-        return w * (np.where(np.isfinite(v), v, 0.0) @ weights)
+        return w * np.einsum("ij,j->i", np.where(np.isfinite(v), v, 0.0), weights)  # fixed order, unlike a BLAS @
 
     def _chunk(self, c: int):
         a = (c * PANELS_PER_CHUNK + np.arange(PANELS_PER_CHUNK)) * PANEL_WIDTH

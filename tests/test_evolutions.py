@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
-from pnmcore import evolutions, linalg
+from pnmcore import evolutions, exprparse, linalg
 from pnmcore.cli import load_config, run_report
-from pnmcore.errors import CPTPViolation, UndefinedIntermediateMap
-from pnmcore.evolutions import find_first_zero
+from pnmcore.errors import CPTPViolation, NonFiniteResult, SingularMap, UndefinedIntermediateMap
+from pnmcore.evolutions import PATHOLOGICAL_RATES, find_first_zero
 from tests import sequential
 
 
@@ -160,6 +160,72 @@ def test_shifted_evolution_delegates():
         assert core.dim == 2
         direct = parent.intermediate_map(T, 1.0 + T)
         assert np.allclose(core.dynamical_map(1.0).matrix, direct.matrix)
+
+
+RATES_COS = ("0.5", "0.5", "0.2+0.6*cos(3*t)")
+
+
+@pytest.mark.parametrize("rates", [PATHOLOGICAL_RATES, RATES_COS], ids=["pathological", "rates-cos"])
+def test_rate_eigenvalues_do_not_depend_on_the_array(rates):
+    # the Gauss-Legendre sums run in one fixed order, so lambda(t) has the same
+    # bits alone, inside the whole array and inside a chunk of 37 times, and
+    # V_{t,s} from one call is the quotient of the two
+    ts = np.random.default_rng(7).uniform(0.0, 4.0, 2000)
+    e = p.PauliRates(*map(p.ScalarFn.parse, rates))
+    whole = p.PauliRates(*map(p.ScalarFn.parse, rates)).map_eigenvalues(ts)
+    alone = np.array([e.map_eigenvalues(float(t)) for t in ts])
+    chunks = np.concatenate([e.map_eigenvalues(ts[i : i + 37]) for i in range(0, len(ts), 37)])
+    assert whole.tobytes() == alone.tobytes() == chunks.tobytes()
+    s, later = ts[:100], ts[:100] + ts[100:200]
+    assert e.intermediate_eigenvalues(s, later).tobytes() == (e.map_eigenvalues(later) / e.map_eigenvalues(s)).tobytes()
+
+
+def test_intermediate_eigenvalues_raise_as_they_would_one_at_a_time():
+    # lambda(1) = 0 and lambda(t) is not finite past t = 1.5: the one call at
+    # s and t raises NonFiniteResult, yet lambda(s) and its check come first
+    e = p.PauliProbs(*map(p.ScalarFn.parse, ("t/4", "t/4", "t/4+0*sqrt(1.5-t)")))
+    with pytest.raises(SingularMap, match="not invertible at s=1.0"):
+        e.intermediate_eigenvalues(1.0, np.array([1.2, 2.0]))
+    with pytest.raises(NonFiniteResult, match="t=2.0"):
+        e.intermediate_eigenvalues(0.5, np.array([1.2, 2.0]))
+    assert np.all(np.isfinite(e.intermediate_eigenvalues(0.5, np.array([1.2, 1.4]))))
+
+
+def test_core_with_a_singular_shift_raises_on_every_access():
+    core = p.ShiftedPauli(p.PauliProbs(*(p.ScalarFn.parse("0.25*t") for _ in range(3))), 1.0)
+    for _ in range(2):
+        for call in (core.map_eigenvalues, core.log_map_eigenvalues, lambda t: core.intermediate_min_choi(0.0, t)):
+            with pytest.raises(SingularMap, match="not invertible at s=1.0"):
+                call(0.5)
+    assert "_at_shift" not in vars(core)
+
+
+def test_equal_expressions_are_evaluated_once_per_call(monkeypatch):
+    nodes = []
+    eval_ast = exprparse.eval_ast
+    monkeypatch.setattr(exprparse, "eval_ast", lambda node, t: nodes.append(node) or eval_ast(node, t))
+    ts = np.linspace(0.0, 3.0, 50)
+    rates = p.PauliRates(*map(p.ScalarFn.parse, RATES_COS))
+    probs = p.PauliProbs(*map(p.ScalarFn.parse, ("0.1*(1-exp(-t))", "0.1*(1-exp(-t))", "0.2*sin(1.2*t)^2")))
+    core = p.ShiftedPauli(rates, 0.5)
+    core.map_eigenvalues(ts)  # integrates the two distinct rates to 3.5, and takes lambda(0.5) once
+    calls = {
+        "rates.map_eigenvalues": rates.map_eigenvalues,
+        "rates.log_map_eigenvalues": rates.log_map_eigenvalues,
+        "rates.rates": rates.rates,
+        "rates.intermediate_eigenvalues": lambda ts: rates.intermediate_eigenvalues(ts[:25], ts[25:]),
+        "probs.map_eigenvalues": probs.map_eigenvalues,
+        "probs.intermediate_eigenvalues": lambda ts: probs.intermediate_eigenvalues(ts[:25], ts[25:]),
+        "core.map_eigenvalues": core.map_eigenvalues,
+    }
+    for name, call in calls.items():
+        nodes.clear()
+        call(ts)
+        assert len(nodes) == 2, name
+    # a shared integral gives the bits of one per rate (a function with no AST is never shared)
+    apart = p.PauliRates(*(lambda t, g=g: g(t) for g in map(p.ScalarFn.parse, RATES_COS)))
+    assert apart.map_eigenvalues(ts).tobytes() == rates.map_eigenvalues(ts).tobytes()
+    assert apart.rates(ts).tobytes() == rates.rates(ts).tobytes()
 
 
 def test_validate_spec_depolarizing():
