@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UndefinedIntermediateMap
 from .evolutions import Depolarizing, Evolution, ShiftedPauli
 from .exprparse import numeric_derivative
-from .numerics import EVAL_ERRORS, bisect_boundary, bisect_root, ternary_search
+from .numerics import EVAL_ERRORS, bisect_boundary, bisect_root
 
 SCAN_TOL = 1e-10
 REFINE_XTOL = 1e-4
@@ -221,23 +221,13 @@ def compute_tau_lambda(e: Evolution, horizon: float, n: int = 400) -> float:
     return bisect_boundary(lambda xs: ~_non_cptp(e, xs, step), float(ts[k - 1]), float(ts[k]), REFINE_XTOL)
 
 
-def _refine_peak(fn, lo: float, hi: float):
-    """Ternary-search the maximum of fn on [lo, hi]; (argmax, max)."""
-    x = ternary_search(fn, lo, hi, lambda fa, fb: not fa < fb, 200, 1e-12)
-    return x, fn(x)
-
-
-@functools.lru_cache(maxsize=1)  # compute_T_lambda and compute_t_star share it
 def _max_after(e: Depolarizing, tau: float, horizon: float):
-    """(argmax, max) of f on [tau, horizon], peak refined off the grid."""
-    ts = np.linspace(tau, horizon, 8192)
-    fv = np.asarray(e.f(ts), dtype=float)
-    i = int(np.argmax(fv))
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, len(ts) - 1)])
-    if lo == hi:
-        return float(ts[i]), float(fv[i])
-    return _refine_peak(e.f_at, lo, hi)
+    """(argmax, max) over f(tau) and f's turning sequence from tau to horizon; raises at a NaN or +inf."""
+    ts, fv = e.turning_points(horizon)
+    after = ts >= tau
+    ts, fv = np.append(tau, ts[after]), np.append(e.f_at(tau), fv[after])
+    i = int(np.argmax(fv))  # the first NaN, or else +inf, if any: f_at raises there
+    return float(ts[i]), float(fv[i]) if math.isfinite(fv[i]) else e.f_at(float(ts[i]))
 
 
 def _depolarizing_T(e: Depolarizing, horizon: float, tau: float) -> float:
@@ -248,9 +238,7 @@ def _depolarizing_T(e: Depolarizing, horizon: float, tau: float) -> float:
         return 0.0
     # f is non-increasing on [0, tau]; T solves f(T) = m there
     g = lambda x: e.f_at(x) - m
-    if g(tau) >= 0:
-        return tau
-    return bisect_root(g, 0.0, tau, xtol=1e-7)
+    return tau if g(tau) >= 0 else bisect_root(g, 0.0, tau, xtol=1e-7)
 
 
 def _condition_b(e: Evolution, T: float, t_grid: np.ndarray, tol: float) -> bool:
@@ -330,17 +318,13 @@ def compute_t_star(
         target = e.f_at(T)
         ts = np.linspace(tau, horizon, max(n, 2048))
         fv = np.asarray(e.f(ts), dtype=float) - target
-        idx = np.nonzero(fv >= 0)[0]
+        idx = np.flatnonzero(fv >= 0)
         if len(idx):
             i = int(idx[0])
-            if i == 0:
-                return float(ts[0])
-            return bisect_root(lambda x: e.f_at(x) - target, float(ts[i - 1]), float(ts[i]), 1e-6)
+            return float(ts[0]) if i == 0 else bisect_root(lambda x: e.f_at(x) - target, float(ts[i - 1]), float(ts[i]), 1e-6)
         # f only touches f(T) tangentially at its revival peak
         tp, fp = _max_after(e, tau, horizon)
-        if fp >= target - 1e-6:
-            return tp
-        return math.inf
+        return tp if fp >= target - 1e-6 else math.inf
 
     delta = min((tau - T) / 4.0, (horizon / n) or 1e-3)
     s = T + delta

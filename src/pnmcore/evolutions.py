@@ -25,7 +25,7 @@ from .errors import (
     UndefinedIntermediateMap,
 )
 from .exprparse import ScalarFn
-from .numerics import EVAL_ERRORS, CumulativeIntegral, bisect_root, ternary_search
+from .numerics import DETECT_POINTS, EVAL_ERRORS, CumulativeIntegral, bisect_root, ternary_search, turning_sequence
 
 F_ZERO_TOL = 1e-12
 
@@ -210,6 +210,15 @@ class Depolarizing(Evolution):
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         return self._first_zero(self.f, horizon)
 
+    def turning_points(self, horizon: float, n: int = DETECT_POINTS):
+        """(times, f at them): linspace(0, horizon, n) merged with f's zoom-refined local
+        extrema, kept for the last horizon and n asked.  T's peak, delta and rhp read it."""
+        cached = self.__dict__.get("_turning")
+        if cached is None or cached[0] != (horizon, n):
+            cached = self.__dict__["_turning"] = (horizon, n), turning_sequence(self.map_eigenvalues, np.linspace(0.0, horizon, n))
+        ts, fv = cached[1]
+        return ts, fv[:, 0]
+
 
 class PauliDiagonal(Evolution):
     """A qubit family sigma_k -> lambda_k(t) sigma_k, m = 3: lambda_x,
@@ -356,9 +365,10 @@ class QuasiEternal(PauliDiagonal):
         lxy = -self.alpha * t + self.alpha * (_log_cosh(t - self.t0) - _log_cosh(-self.t0))
         return np.stack([lxy, lxy, -2.0 * self.alpha * t], axis=-1)
 
-    def rate_min(self, ts) -> np.ndarray:
-        t = np.asarray(ts, dtype=float)  # the z rate never exceeds the x and y rates alpha / 2
-        return np.where(t < self.t_unitary, 0.0, -self.alpha / 2.0 * np.tanh(t - self.t_unitary - self.t0))
+    def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
+        t = np.asarray(ts, dtype=float)[..., None]
+        g = np.where(t < self.t_unitary, 0.0, self.alpha / 2.0 * np.where([True, True, False], 1.0, -np.tanh(t - self.t_unitary - self.t0)))
+        return g if i is None else g[..., i]
 
     def is_unitary_at(self, t):
         return np.asarray(t) <= self.t_unitary + 1e-12
@@ -391,9 +401,6 @@ class ShiftedPauli(PauliDiagonal):
     def intermediate_eigenvalues(self, s, t) -> np.ndarray:
         _check_order(s, t)
         return self.parent.intermediate_eigenvalues(np.add(s, self.shift), np.add(t, self.shift))
-
-    def rate_min(self, ts) -> Optional[np.ndarray]:
-        return self.parent.rate_min(np.add(ts, self.shift))
 
     def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
         return self.parent.rates(np.add(ts, self.shift), i)

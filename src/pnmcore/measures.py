@@ -28,13 +28,11 @@ from .errors import (
 )
 from .evolutions import F_ZERO_TOL, Depolarizing, Evolution, pauli_probs
 from .exprparse import ScalarFn
-from .numerics import bisect_boundary
+from .numerics import DETECT_POINTS, bisect_boundary, turning_sequence
 
 HERM_INPUT_TOL = 1e-8
 STATE_TOL = 1e-8
-DETECT_POINTS = 16384  # rhp turning points closer than horizon / DETECT_POINTS can be missed
 RATE_POINTS = 32768  # rate signs are cheap to sample: a finer grid for sin(1/t)-like rates
-ZOOM_POINTS, ZOOM_LEVELS = 33, 4  # an extremum is refined to 2 steps / 16**4
 ROOT_STEPS = 12  # bisection steps of a rate sign change: 2**-12 of a grid step
 
 
@@ -144,8 +142,12 @@ def integrate_flux_measures(series: FluxSeries):
 
 def revivals_delta(f: ScalarFn, horizon: float, n: int = 2000) -> float:
     """Total increase of f over all maximal intervals of growth, between its
-    refined local extrema."""
-    return _total_decrease(lambda ts: -f(ts)[..., None], np.linspace(0.0, horizon, n))
+    refined local extrema: measure_report's delta."""
+    return _delta(Depolarizing(f), horizon, n)
+
+
+def _delta(e: Depolarizing, horizon: float, n: int) -> float:
+    return _decrease(-e.turning_points(horizon, max(n, DETECT_POINTS))[1])
 
 
 def depolarizing_measures(delta: float, f_at_T: float):
@@ -194,24 +196,6 @@ def _rate_roots(e: Evolution, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.concatenate(roots)
 
 
-def _total_decrease(c, ts: np.ndarray) -> float:
-    """Summed total decrease of the columns of c(ts) on [ts[0], ts[-1]]: the
-    drops between the grid points and the local extrema of c, each refined
-    by zooming in on the best sample."""
-    cv = c(ts)
-    d = np.diff(cv, axis=0, prepend=cv[:1], append=cv[-1:])  # flat beyond the ends
-    k, i = np.nonzero((np.sign(d[:-1]) != np.sign(d[1:])) & np.isfinite(d[:-1] + d[1:]))
-    sign = np.where((d[k, i] > 0) | (d[k + 1, i] < 0), 1.0, -1.0)  # +1: a maximum at ts[k]
-    lo, hi, rows = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, len(ts) - 1)], np.arange(len(k))
-    for _ in range(ZOOM_LEVELS):
-        s = np.linspace(lo, hi, ZOOM_POINTS, axis=-1)
-        v = c(s)
-        j = np.argmax(sign[:, None] * v[rows, :, i], axis=1)
-        lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, ZOOM_POINTS - 1)]
-    order = np.argsort(np.concatenate([ts, s[rows, j]]), kind="stable")
-    return _decrease(np.concatenate([cv, v[rows, j]])[order])
-
-
 def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
     """Rivas-Huelga-Plenio measure, the integrated Choi trace-norm excess of
     the infinitesimal intermediate maps, in closed form.
@@ -221,31 +205,33 @@ def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
     is 2 sum_i max(-gamma_i, 0) dt, so RHP is twice the total decrease of
     c_i = int gamma_i = lnlambda_i / 2 - sum_k lnlambda_k / 4; for a
     depolarizing family it is 2(d^2 - 1)/d^2 times the total increase of
-    ln|f|.  The turning points of c are bracketed on one grid of
-    max(n, DETECT_POINTS) points, or from the sign of the rate expressions
-    on max(n, RATE_POINTS) points where the family has them, and refined;
-    between them the sum is exact.  inf where an eigenvalue rises out of a
-    zero (non_bijective_time)."""
+    ln|f|, read from f's turning sequence (ln|f| turns with f before t_nb).
+    The turning points of c are bracketed on one grid of max(n, DETECT_POINTS)
+    points, or from the sign of the rate expressions on max(n, RATE_POINTS)
+    points where the family has them, and refined; between them the sum is
+    exact.  inf where an eigenvalue rises out of a zero (non_bijective_time)."""
     if isinstance(e, Depolarizing):
-        weight, to_c = 2.0 * (1.0 - 1.0 / e.dim**2), np.negative
-    else:
-        weight = 2.0
-        to_c = lambda logs: logs / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
-    c = lambda ts: to_c(e.log_map_eigenvalues(ts))
+        ts, fv = e.turning_points(horizon, max(n, DETECT_POINTS))
+        t_nb = e.non_bijective_time(horizon)
+        if t_nb is not None and np.any(np.abs(fv[ts > t_nb]) > F_ZERO_TOL):
+            return math.inf
+        with np.errstate(divide="ignore"):
+            return 2.0 * (1.0 - 1.0 / e.dim**2) * _decrease(-np.log(np.abs(fv if t_nb is None else fv[ts < t_nb])))
+    c = lambda ts: (logs := e.log_map_eigenvalues(ts)) / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ts = np.linspace(0.0, horizon, max(n, RATE_POINTS))
         g = e.rates(ts)
         if g is not None:
             # c is monotone between the sign changes of the rates
             points = np.sort(np.concatenate([[0.0, horizon], _rate_roots(e, ts, g)]))
-            return weight * _decrease(c(points))
+            return 2.0 * _decrease(c(points))
         ts = np.linspace(0.0, horizon, max(n, DETECT_POINTS))
         t_nb = e.non_bijective_time(horizon)
         if t_nb is not None:
             if np.any(np.sum(e.log_map_eigenvalues(ts[ts > t_nb]), axis=-1) > math.log(F_ZERO_TOL)):
                 return math.inf
             ts = ts[ts < t_nb]
-        return weight * _total_decrease(c, ts)
+        return 2.0 * _decrease(turning_sequence(c, ts)[1])
 
 
 def _is_eb(e: Evolution, ts):
@@ -314,7 +300,7 @@ def measure_report(
         except DegeneratePair:
             amp = None
     if isinstance(e, Depolarizing):
-        delta = revivals_delta(e.f, horizon, n)
+        delta = _delta(e, horizon, n)
         f_at_T = e.f_at(T) if math.isfinite(T) else 1.0
         if f_at_T > 0:
             m_d, m_d_core, m_mix, m_mix_core = depolarizing_measures(delta, f_at_T)

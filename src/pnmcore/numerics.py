@@ -1,6 +1,6 @@
 """Quadrature (adaptive Simpson, and panel Gauss-Legendre cumulative
-integrals for arrays of times), and bisection and ternary-search
-refinement in vectorized rounds."""
+integrals for arrays of times), bisection and ternary-search refinement
+in vectorized rounds, and zoom-refined turning points on a grid."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ PANEL_TOL = 1e-13  # per panel; a piece of width w gets w / PANEL_WIDTH of it
 GL_ORDER = 10
 MAX_LEVEL = 20
 EVAL_ERRORS = (PnmError, ArithmeticError, ValueError)  # what evaluating a family can raise
+DETECT_POINTS = 16384  # turning points closer than horizon / DETECT_POINTS can be missed
+ZOOM_POINTS, ZOOM_LEVELS = 33, 4  # an extremum is refined to 2 steps / 16**4
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 40) -> float:
@@ -139,6 +141,27 @@ def ternary_search(fn, lo: float, hi: float, keep_left, steps: int, xtol: float 
         if hi - lo < xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def turning_sequence(c, ts: np.ndarray):
+    """The grid ts merged with the local extrema of each column of c(ts) on
+    [ts[0], ts[-1]], each refined by zooming in on the best sample: (times,
+    c at them), in time order.  Non-finite steps mark no extremum."""
+    cv = c(ts)
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite step
+        d = np.diff(cv, axis=0, prepend=cv[:1], append=cv[-1:])  # flat beyond the ends
+        k, i = np.nonzero((np.sign(d[:-1]) != np.sign(d[1:])) & np.isfinite(d[:-1] + d[1:]))
+    sign = np.where((d[k, i] > 0) | (d[k + 1, i] < 0), 1.0, -1.0)  # +1: a maximum at ts[k]
+    lo, hi, rows = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, len(ts) - 1)], np.arange(len(k))
+    for _ in range(ZOOM_LEVELS):
+        s = np.linspace(lo, hi, ZOOM_POINTS, axis=-1)
+        v = c(s)
+        j = np.argmax(sign[:, None] * v[rows, :, i], axis=1)
+        lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, ZOOM_POINTS - 1)]
+    x = s[rows, j]
+    r = np.argsort(x, kind="stable")
+    at = np.searchsorted(ts, x[r], side="right")  # each extremum after the grid times equal to it
+    return np.insert(ts, at, x[r]), np.insert(cv, at, v[rows, j][r], axis=0)
 
 
 @functools.lru_cache(maxsize=None)

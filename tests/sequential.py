@@ -43,21 +43,6 @@ def ternary_search(fn, lo, hi, keep_left, steps, xtol=0.0):
     return 0.5 * (lo + hi)
 
 
-def refine_peak(fn, lo, hi):
-    """Ternary search of the maximum of fn, as analysis._refine_peak was."""
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if fn(a) < fn(b):
-            lo = a
-        else:
-            hi = b
-        if hi - lo < 1e-12:
-            break
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
-
-
 def refine_min_abs(f, lo, hi):
     """Ternary search of the minimum of |f|, as find_first_zero's was."""
     for _ in range(80):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
-from pnmcore import analysis
 from pnmcore.errors import NonFiniteResult, QuadratureFailure
 from pnmcore.exprparse import ScalarFn
 from pnmcore.numerics import CumulativeIntegral, adaptive_simpson, bisect_boundary, bisect_root, ternary_search
@@ -179,4 +178,3 @@ def test_ternary_searches_are_the_refinements_they_replaced():
     e = p.make_preset("appendix-f")  # f touches 0 at t = 1/2 and peaks at t = 3/2
     min_abs = ternary_search(e.f, 0.49, 0.51, lambda fa, fb: abs(fa) < abs(fb), 80)
     assert min_abs == sequential.refine_min_abs(e.f, 0.49, 0.51)
-    assert analysis._refine_peak(e.f_at, 1.4, 1.6) == sequential.refine_peak(e.f_at, 1.4, 1.6)

@@ -8,7 +8,9 @@ row-blocked region scan against the full-square scan it replaced; tau
 and T from whole-grid evaluations against the one-time-at-a-time loops they
 replaced; and the composition count, minimum and band rows folded over the
 deferred grid's row blocks, or over a depolarizing scan's sorted samples,
-against the full-grid matmul and argmin they replaced."""
+against the full-grid matmul and argmin they replaced; and the total
+increase and revival peak read from a depolarizing family's turning
+sequence against a dense grid."""
 
 import math
 
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore import linalg
-from pnmcore import analysis
+from pnmcore import analysis, exprparse
 from pnmcore.analysis import CPTP, NONCPTP, REFINE_XTOL, SCAN_BLOCK, SCAN_TOL, UNDEFINED, _depolarizing_T
 from pnmcore.errors import (
     CPTPViolation,
@@ -32,7 +34,9 @@ from pnmcore.errors import (
     UndefinedIntermediateMap,
 )
 from pnmcore.evolutions import F_ZERO_TOL, PAPER_EXAMPLE_F, pauli_min_prob, pauli_probs
+from pnmcore.cli import load_config, run_report
 from pnmcore.measures import _is_eb
+from pnmcore.numerics import DETECT_POINTS
 from tests.sequential import bisect_boundary
 
 HORIZON, N = 3.0, 40
@@ -621,14 +625,49 @@ def test_non_finite_pauli_probabilities_before_the_first_flag_are_raised():
     assert _same_times(e, HORIZON, 400) is None
 
 
-def test_depolarizing_peak_search_runs_once_per_characteristic_times(monkeypatch):
-    e = p.make_preset("paper-example")
-    calls = []
-    refine = analysis._refine_peak
-    monkeypatch.setattr(analysis, "_refine_peak", lambda *a: calls.append(a) or refine(*a))
-    ct = p.characteristic_times(e, 3.0, 400)
-    assert math.isfinite(ct.T) and math.isfinite(ct.t_star)
-    assert len(calls) == 1
+def test_run_report_evaluates_f_on_one_detection_grid_per_family(monkeypatch):
+    # T's revival peak, t_star's tangential touch, delta and rhp all read the
+    # family's one turning sequence: parent and core each evaluate f once on it
+    sizes = []
+    evaluate = exprparse.eval_ast
+    monkeypatch.setattr(exprparse, "eval_ast", lambda node, t: sizes.append(np.size(t)) or evaluate(node, t))
+    doc = run_report(load_config('{"evolution": {"preset": "paper-example"}}'))
+    assert doc["classification"] == "NNM" and "core" in doc
+    assert [size for size in sizes if size > 2048] == [DETECT_POINTS] * 2
+
+
+@st.composite
+def turning_families(draw):
+    """Random revival and damped depolarizing families at d = 2, 3;
+    exp(-a t) cos(b t) changes sign."""
+    a, b = draw(st.floats(0.1, 0.6)), draw(st.floats(2.0, 5.0))
+    if draw(st.booleans()):
+        c = draw(st.floats(0.2, 0.45))
+        f = f"exp(-{a}*t)*(1-{c}+{c}*cos({b}*t))"
+    else:
+        f = f"exp(-{a}*t)*cos({b}*t)"
+    return p.Depolarizing(p.ScalarFn.parse(f), dim=draw(st.sampled_from([2, 3])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=turning_families(), horizon=st.floats(3.0, 5.0))
+def test_turning_sequence_delta_and_peak_match_a_dense_grid(e, horizon):
+    ts = np.linspace(0.0, horizon, 2**18 + 1)
+    fv = e.f(ts)
+    step = ts[1] - ts[0]
+    # a grid misses each extremum by at most max|f''| step^2 / 8 (a sample lies
+    # within step / 2 of it), and the total increase has one term per extremum
+    d = np.diff(fv)
+    extrema = np.count_nonzero(np.sign(d[:-1]) != np.sign(d[1:])) + 2
+    curvature = np.max(np.abs(np.diff(fv, 2))) / step**2
+    dense = float(np.sum(np.fmax(d, 0.0)))
+    tol = extrema * curvature * step**2 / 8 + 1e-14 * (1.0 + dense)
+    assert abs(p.revivals_delta(e.f, horizon) - dense) <= tol
+    tau = p.compute_tau_lambda(e, horizon, 400)
+    assume(tau < horizon)
+    _, m = analysis._max_after(e, tau, horizon)
+    after = np.linspace(tau, horizon, 2**18 + 1)
+    assert m >= np.max(e.f(after)) - 1e-15
 
 
 def _reference_first_failing(e, cs, t_grid, tol=1e-9):
