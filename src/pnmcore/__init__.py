@@ -42,6 +42,7 @@ from .evolutions import (
     PauliRates,
     PRESET_NAMES,
     QuasiEternal,
+    ShiftedDepolarizing,
     ShiftedPauli,
     ValidationReport,
     make_preset,

@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UndefinedIntermediateMap
-from .evolutions import Depolarizing, Evolution, ShiftedPauli
+from .evolutions import Depolarizing, Evolution, ShiftedDepolarizing, ShiftedPauli
 from .exprparse import numeric_derivative
 from .numerics import EVAL_ERRORS, bisect_boundary, bisect_root
 
@@ -377,12 +376,7 @@ def extract_pnm_core(e: Evolution, T: float) -> Evolution:
         return e
     if not math.isfinite(T) or T < 0:
         raise ValueError(f"T must be finite and non-negative, got {T}")
-    if isinstance(e, Depolarizing):
-        f_at_T = e.f_at(T)
-        if f_at_T <= 1e-12:
-            raise UndefinedIntermediateMap(f"f({T}) = 0: core undefined at or past t_NB")
-        return Depolarizing(lambda ts: e.f(np.add(ts, T)) / f_at_T, dim=e.dim)
-    return ShiftedPauli(e, T)
+    return ShiftedDepolarizing(e, T) if isinstance(e, Depolarizing) else ShiftedPauli(e, T)
 
 
 def verify_composition_rules(grid: CptpGrid) -> int:

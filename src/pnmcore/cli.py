@@ -52,7 +52,7 @@ from .measures import MeasureReport, eb_time_qubit, measure_report
 
 DEFAULT_HORIZON = 5.0
 DEFAULT_GRID = 400
-MAX_GRID = 2048  # a materialized grid (scan export, a read of value or cls) grows as grid_points**2
+MAX_GRID = 2048  # a scan export, and a read of a grid's value or cls, grow as grid_points**2
 MAX_DIM = 32  # input validation: the report builds no dim^2 x dim^2 map, but the dense oracle maps do (16 MB at 32)
 
 _CONFIG_FIELDS = {"evolution", "horizon", "grid_points", "tolerances", "outputs", "seed"}
@@ -341,15 +341,16 @@ def _blocks(grid: CptpGrid, first, second, encode, width: int, names, size: int 
     r0 = 0
     while r0 < n:
         r1 = min(n, int(np.searchsorted(starts, starts[r0] + size)))
-        rows, cols = np.nonzero(np.arange(n) >= np.arange(r0, r1)[:, None])
-        rows += r0
+        upper = np.arange(r0, n) >= np.arange(r0, r1)[:, None]  # the block's cells, rows r0:r1 and columns r0:n
+        rows, cols = np.nonzero(upper)
+        value, cls = (a[upper] for a in grid.rows(r0, r1))
         # fields left to right: the padding words of one spill into the next
         data = bytearray(len(rows) * (w1 + w2 + width + names.itemsize))  # zeros
         buf = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), -1)
-        _put(buf, 0, first, rows)
-        _put(buf, w1, second, cols)
-        encode(grid.value[rows, cols], buf[:, w1 + w2 : w1 + w2 + width])
-        _put(buf, w1 + w2 + width, names, grid.cls[rows, cols])
+        _put(buf, 0, first, rows + r0)
+        _put(buf, w1, second, cols + r0)
+        encode(value, buf[:, w1 + w2 : w1 + w2 + width])
+        _put(buf, w1 + w2 + width, names, cls)
         del buf  # the padded bytes go before the text is made
         data = data.translate(None, b"\0")
         yield data.decode("ascii")

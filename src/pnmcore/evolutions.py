@@ -1,5 +1,5 @@
 """Dynamical-map families: depolarizing, Pauli (probability- and
-rate-driven), quasi-eternal, and the cores shifted out of Pauli families.
+rate-driven), quasi-eternal, and the cores shifted out of them.
 
 Every family acts diagonally on a fixed operator basis: it gives its map
 eigenvalues, f(t) or lambda_x, lambda_y, lambda_z, for whole arrays of
@@ -215,9 +215,46 @@ class Depolarizing(Evolution):
         extrema, kept for the last horizon and n asked.  T's peak, delta and rhp read it."""
         cached = self.__dict__.get("_turning")
         if cached is None or cached[0] != (horizon, n):
-            cached = self.__dict__["_turning"] = (horizon, n), turning_sequence(self.map_eigenvalues, np.linspace(0.0, horizon, n))
-        ts, fv = cached[1]
+            cached = self.__dict__["_turning"] = (horizon, n), self._turning_sequence(horizon, n)
+        return cached[1]
+
+    def _turning_sequence(self, horizon: float, n: int):
+        ts, fv = turning_sequence(self.map_eigenvalues, np.linspace(0.0, horizon, n))
         return ts, fv[:, 0]
+
+
+class ShiftedDepolarizing(Depolarizing):
+    """The core t -> V_{t + shift, shift} of a depolarizing parent, with
+    f(t) = parent.f(t + shift) / parent.f(shift).  Its turning points and
+    first zero are the parent's cached ones past shift, shifted and scaled,
+    wherever the parent's range covers [shift, shift + horizon]."""
+
+    def __init__(self, parent: Depolarizing, shift: float):
+        at_shift = parent.f_at(shift)
+        if at_shift <= F_ZERO_TOL:
+            raise UndefinedIntermediateMap(f"f({shift}) = 0: core undefined at or past t_NB")
+        super().__init__(lambda ts: parent.f(np.add(ts, shift)) / at_shift, parent.dim)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_at_shift", at_shift)
+
+    def _turning_sequence(self, horizon: float, n: int):
+        (h, m), _ = self.parent.__dict__.get("_turning", ((None, 0), None))  # the parent's, if as fine
+        h, end = _covering([h] if m >= n else [], self.shift, horizon)
+        if h is None:
+            return super()._turning_sequence(horizon, n)
+        ts, fv = self.parent.turning_points(h, m)
+        keep = (ts > self.shift) & (ts <= end)
+        ts, fv = np.append(0.0, ts[keep] - self.shift), np.append(1.0, fv[keep] / self._at_shift)
+        if end < h:  # the parent's range goes on: the core's ends at its horizon
+            ts, fv = np.append(ts, horizon), np.append(fv, self.f(horizon))
+        return ts, fv
+
+    def non_bijective_time(self, horizon: float) -> Optional[float]:
+        t = _parent_zero(self.parent, self.shift, horizon)
+        if t is _UNCOVERED or (t is not None and t <= self.shift):  # the parent's first zero hides the core's
+            return super().non_bijective_time(horizon)
+        return None if t is None else t - self.shift
 
 
 class PauliDiagonal(Evolution):
@@ -406,11 +443,44 @@ class ShiftedPauli(PauliDiagonal):
         return self.parent.rates(np.add(ts, self.shift), i)
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
-        t = self.parent.non_bijective_time(horizon + self.shift)
-        return t - self.shift if t is not None and t > self.shift else None
+        t = _parent_zero(self.parent, self.shift, horizon)
+        if t is _UNCOVERED:
+            t = self.parent.non_bijective_time(horizon + self.shift)
+        if t is not None and t <= self.shift:  # the parent's first zero hides the core's
+            return self._first_zero(lambda ts: np.prod(self.map_eigenvalues(ts), axis=-1), horizon)
+        return None if t is None else t - self.shift
 
     def log_map_eigenvalues(self, ts) -> np.ndarray:
         return self.parent.log_map_eigenvalues(np.add(ts, self.shift)) - self._at_shift[1]
+
+
+def _covering(horizons, shift: float, horizon: float):
+    """(h, end) for the first parent range [0, h] among horizons that holds a
+    core's [0, horizon] as [shift, end]: end = h where shift + horizon rounds
+    to within a few ulps of h (as (h - shift) + shift may), else shift +
+    horizon inside it; (None, None) where none does."""
+    end = shift + horizon
+    for h in horizons:
+        if abs(end - h) <= 4 * math.ulp(h):
+            return h, h
+        if end < h:
+            return h, end
+    return None, None
+
+
+_UNCOVERED = object()
+
+
+def _parent_zero(parent: Evolution, shift: float, horizon: float):
+    """The parent's cached first zero on a range covering a core's [0,
+    horizon], in the parent's time: None where it lies past the core's range,
+    _UNCOVERED where no search covered it."""
+    zeros = parent.__dict__.get("_first_zeros", {})
+    h, end = _covering(zeros, shift, horizon)
+    if h is None:
+        return _UNCOVERED
+    t = zeros[h]
+    return None if t is None or t > end else t
 
 
 def _check_order(s, t):

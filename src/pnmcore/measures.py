@@ -28,12 +28,13 @@ from .errors import (
 )
 from .evolutions import F_ZERO_TOL, Depolarizing, Evolution, pauli_probs
 from .exprparse import ScalarFn
-from .numerics import DETECT_POINTS, bisect_boundary, turning_sequence
+from .numerics import DETECT_POINTS, ROUND_STEPS, bisect_boundary, turning_sequence
 
 HERM_INPUT_TOL = 1e-8
 STATE_TOL = 1e-8
 RATE_POINTS = 32768  # rate signs are cheap to sample: a finer grid for sin(1/t)-like rates
 ROOT_STEPS = 12  # bisection steps of a rate sign change: 2**-12 of a grid step
+ROUND_PROBES = 1024  # probes a round of rate roots may take: a rates call on fewer costs about its overhead
 
 
 @dataclass(frozen=True)
@@ -183,15 +184,29 @@ def _decrease(c: np.ndarray) -> float:
 
 def _rate_roots(e: Evolution, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Sign changes of each rate column of g = e.rates(ts), each column
-    bisected with its own rate expression alone."""
+    bisected ROOT_STEPS times with its own rate expression alone, in rounds:
+    one rates call at every probe of all its roots' next steps, ROUND_STEPS
+    of them or fewer where that takes over ROUND_PROBES probes, on which the
+    steps are replayed (the probes are the step-by-step mids)."""
     roots = []
     for i in range(g.shape[-1]):
         k = np.flatnonzero((g[:-1, i] < 0) != (g[1:, i] < 0))
-        lo, hi, neg = ts[k], ts[k + 1], g[k, i] < 0
-        for _ in range(ROOT_STEPS if len(k) else 0):
-            mid = 0.5 * (lo + hi)
-            left = (e.rates(mid, i) < 0) == neg
-            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        lo, hi, neg, cols = ts[k], ts[k + 1], g[k, i] < 0, np.arange(len(k))
+        depth = max(1, min(ROUND_STEPS, (ROUND_PROBES // max(len(k), 1) + 1).bit_length() - 1))  # (2^depth - 1) len(k) probes
+        for done in range(0, ROOT_STEPS if len(k) else 0, depth):
+            steps = min(depth, ROOT_STEPS - done)
+            mids, a, b = [], lo[None], hi[None]
+            for _ in range(steps):  # level l has 2^l brackets: node j's (mid, b) is node j of the next, (a, mid) node j + 2^l
+                mids.append(0.5 * (a + b))
+                a, b = np.concatenate((mids[-1], a)), np.concatenate((b, mids[-1]))
+            mids = np.concatenate(mids)
+            kept = (e.rates(mids, i) < 0) == neg
+            node = np.zeros(len(k), dtype=np.intp)
+            for level in range(steps):
+                row = (1 << level) - 1 + node
+                mid, left = mids[row, cols], kept[row, cols]
+                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+                node = np.where(left, node, node + (1 << level))
         roots.append(0.5 * (lo + hi))
     return np.concatenate(roots)
 

@@ -3,6 +3,8 @@ time, on floats.  The tests hold the array-round searches of
 pnmcore.numerics to these: the same probes, bounds and tie rules, so the
 same float."""
 
+import numpy as np
+
 
 def bisect_boundary(pred, lo, hi, xtol=1e-4):
     while hi - lo > xtol:
@@ -53,3 +55,18 @@ def refine_min_abs(f, lo, hi):
         else:
             lo = a
     return 0.5 * (lo + hi)
+
+
+def rate_roots(e, ts, g, steps=12):
+    """measures._rate_roots as it bisected: one rates call per step of each
+    column's roots."""
+    roots = []
+    for i in range(g.shape[-1]):
+        k = np.flatnonzero((g[:-1, i] < 0) != (g[1:, i] < 0))
+        lo, hi, neg = ts[k], ts[k + 1], g[k, i] < 0
+        for _ in range(steps if len(k) else 0):
+            mid = 0.5 * (lo + hi)
+            left = (e.rates(mid, i) < 0) == neg
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        roots.append(0.5 * (lo + hi))
+    return np.concatenate(roots)

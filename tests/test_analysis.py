@@ -86,11 +86,12 @@ def _export_peak_bytes(grid, fmt):
 
 
 def test_csv_export_memory_is_bounded_by_one_block():
-    # the CSV lines and the JSON cells are built a block of whole rows at a
-    # time, so the export holds one block's buffers whatever the grid size
+    # the CSV lines and the JSON cells are built a block of whole scan rows at
+    # a time, from the scan's rows of those cells alone, so the export holds
+    # one block's buffers whatever the grid size, and never the n x n grid
+    # (at n = 1600 its values alone take 20 MB)
     for n in (800, 1600):
         grid = p.scan_regions(p.make_preset("paper-example"), 2.5, n)
-        grid.value  # built before tracing: the bound is on the export's own buffers
         for fmt in ("csv", "json"):
             assert _export_peak_bytes(grid, fmt) <= 8 * 2**20, (n, fmt)
 

@@ -58,15 +58,20 @@ def test_non_bijective_depolarizing():
     assert grid.value[1, 2] > 0  # (s, t) = (0.25, 0.5)
 
 
-def test_run_report_searches_each_zero_once(monkeypatch):
-    # validate_spec, scan_regions and rhp_measure all ask the parent for its
-    # zero on [0, 5]; the core is asked once, on its own horizon
+def _counting_searches(monkeypatch):
     searched = []
     search = evolutions.find_first_zero
     monkeypatch.setattr(evolutions, "find_first_zero", lambda f, h: searched.append((f, h)) or search(f, h))
+    return searched
+
+
+def test_run_report_searches_one_zero_per_op(monkeypatch):
+    # validate_spec, scan_regions and rhp_measure all ask the parent for its
+    # zero on [0, 5]; the core reads the parent's, past T
+    searched = _counting_searches(monkeypatch)
     doc = run_report(load_config('{"evolution": {"preset": "paper-example"}}'))
     assert doc["classification"] == "NNM"
-    assert len(searched) == len(set(searched)) == 2
+    assert len(searched) == 1
 
 
 PAULI_ZERO = ("0.5*(1-exp(-t))", "0.5*(1-exp(-t))", "0.25*t")  # lambda_z = 2 exp(-t) - 1 hits 0 at ln 2
@@ -87,6 +92,87 @@ def test_non_bijective_time_does_not_depend_on_query_order(make):
     assert [e.non_bijective_time(h) for h in reversed(horizons)] == fresh[::-1]
     assert [e.non_bijective_time(h) for h in horizons] == fresh
     assert fresh[0] is not None and fresh[1] is None
+
+
+ROUNDED = 3.9  # (3.9 - T) + T != 3.9 for 1 T in 5 of linspace(0.1, 3.1, 1000)
+
+
+def _rounded_shift(horizon=ROUNDED):
+    """A shift T with (horizon - T) + T != horizon."""
+    return next(T for T in np.linspace(0.1, 0.8 * horizon, 1000) if (horizon - T) + T != horizon)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: p.make_preset("appendix-f"),
+        lambda: p.Depolarizing(p.ScalarFn.parse("exp(-0.4*t)*cos(3*t)"), dim=3),
+        lambda: p.PauliProbs(*map(p.ScalarFn.parse, PAULI_ZERO)),
+    ],
+)
+def test_core_reads_its_zero_from_a_parent_horizon_off_by_rounding(make, monkeypatch):
+    e, T = make(), _rounded_shift()
+    zero = e.non_bijective_time(ROUNDED)
+    assert T < zero
+    searched = _counting_searches(monkeypatch)
+    core = p.extract_pnm_core(e, T)
+    assert core.non_bijective_time(ROUNDED - T) == zero - T
+    assert searched == []
+    # a parent range that ends before the core's does not cover it: one search
+    assert abs(core.non_bijective_time(ROUNDED) - (zero - T)) <= 1e-9
+    assert len(searched) == 1
+
+
+@pytest.mark.parametrize(
+    "f, T",
+    [
+        # T > 0.9 h: the core's horizon h / 10 reaches past the parent's [0, h]
+        ("exp(-0.25*t)*(1-0.3+0.3*cos(3*t))", 4.6),
+        # the parent's first zero, pi / 6, is before T: the core's is its own
+        ("exp(-t)*cos(3*t)", 2.2),
+    ],
+)
+def test_core_outside_the_parent_cache_computes_its_own(f, T):
+    horizon = 5.0
+    e = p.Depolarizing(p.ScalarFn.parse(f), dim=3)
+    e.turning_points(horizon)
+    e.non_bijective_time(horizon)
+    core = p.extract_pnm_core(e, T)
+    h = max(horizon - T, horizon / 10)
+    own = p.Depolarizing(core.f, dim=3)
+    assert core.non_bijective_time(h) == own.non_bijective_time(h)
+    if T + h > horizon:
+        ts, fv = core.turning_points(h)
+        want_ts, want_fv = own.turning_points(h)
+        assert np.array_equal(ts, want_ts) and np.array_equal(fv, want_fv)
+    else:
+        assert core.non_bijective_time(h) is not None  # cos(3(t + 2.2)) has zeros in (0, 2.8]
+
+
+def test_pauli_core_past_the_parents_first_zero_finds_its_own():
+    # lambda_z = cos t: the parent's first zero is pi / 2, the core's past
+    # T = 2 is 3 pi / 2 - T, and lambda_z rises out of it, so rhp diverges
+    e = p.PauliProbs(*map(p.ScalarFn.parse, ("0", "0", "0.5*(1-cos(t))")))
+    assert abs(e.non_bijective_time(5.0) - math.pi / 2) <= 1e-9
+    core = p.ShiftedPauli(e, 2.0)
+    assert abs(core.non_bijective_time(3.0) - (1.5 * math.pi - 2.0)) <= 1e-9
+    assert p.rhp_measure(core, 3.0) == math.inf
+
+
+def test_core_turning_points_are_the_parents_past_T():
+    e = p.Depolarizing(p.ScalarFn.parse("exp(-0.25*t)*(1-0.3+0.3*cos(3*t))"))
+    T = _rounded_shift()
+    parent_ts, parent_fv = e.turning_points(ROUNDED)
+    core = p.extract_pnm_core(e, T)
+    ts, fv = core.turning_points(ROUNDED - T)
+    past = parent_ts > T
+    assert np.array_equal(ts, np.append(0.0, parent_ts[past] - T))
+    assert np.array_equal(fv, np.append(1.0, parent_fv[past] / e.f_at(T)))
+    assert fv[0] == core.f(0.0) == 1.0
+    # a shorter core horizon keeps the parent's points up to it, then ends at it
+    ts, fv = core.turning_points(1.0)
+    assert np.array_equal(ts[1:-1], parent_ts[past & (parent_ts <= T + 1.0)] - T)
+    assert ts[-1] == 1.0 and fv[-1] == core.f(1.0)
 
 
 def test_pauli_probs_eigenvalue_conversions():

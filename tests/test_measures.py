@@ -5,6 +5,9 @@ import pytest
 
 import pnmcore as p
 from pnmcore.errors import DegeneratePair, DomainError, NonFiniteResult, ZeroDifference
+from pnmcore.measures import RATE_POINTS, ROOT_STEPS, _rate_roots
+from pnmcore.numerics import ROUND_STEPS
+from tests import sequential
 
 
 def orthogonal_qubit_pair():
@@ -234,6 +237,32 @@ def test_rhp_parent_core_equal(catalog):
     r1 = p.rhp_measure(e, horizon)
     r2 = p.rhp_measure(core, horizon - ct.T)
     assert math.isclose(r1, r2, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "rates, calls",
+    [
+        # gamma_z changes sign 4 times: two rounds of ROUND_STEPS = 6 steps
+        (("0.5", "0.5", "0.2+0.6*cos(3*t)"), [None, 2, 2]),
+        # gamma_x and gamma_z do
+        (("cos(2*t)", "0.5", "sin(3*t)"), [None, 0, 0, 2, 2]),
+        # gamma_z changes sign 85 times, at 1/(k pi) and aliased beyond: 6
+        # steps would take 63 x 85 probes, over ROUND_PROBES, 3 take 7 x 85
+        (("1", "1", "-sin(1/t)*tanh(t)"), [None, 2, 2, 2, 2]),
+    ],
+)
+def test_rate_roots_take_a_rates_call_per_round(rates, calls):
+    # rhp_measure calls rates once on its grid, then once per round of
+    # bisection steps of a column that changes sign there, where it called
+    # it once per step, and the roots are the step-by-step ones
+    e = p.PauliRates(*(p.ScalarFn.parse(g) for g in rates))
+    seen, rate = [], e.rates
+    e.rates = lambda ts, i=None: seen.append(i) or rate(ts, i)
+    p.rhp_measure(e, 3.5)
+    assert seen == calls and ROOT_STEPS == 12 and ROUND_STEPS == 6
+    ts = np.linspace(0.0, 3.5, RATE_POINTS)
+    g = rate(ts)
+    assert np.array_equal(_rate_roots(e, ts, g), sequential.rate_roots(e, ts, g))
 
 
 def test_eb_time_depolarizing_exponential():

@@ -10,7 +10,8 @@ replaced; and the composition count, minimum and band rows folded over the
 deferred grid's row blocks, or over a depolarizing scan's sorted samples,
 against the full-grid matmul and argmin they replaced; and the total
 increase and revival peak read from a depolarizing family's turning
-sequence against a dense grid."""
+sequence against a dense grid, and those of a depolarizing core, read with
+its first zero from its parent's, against a core that finds its own."""
 
 import math
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore import linalg
-from pnmcore import analysis, exprparse
+from pnmcore import analysis, exprparse, measures
 from pnmcore.analysis import CPTP, NONCPTP, REFINE_XTOL, SCAN_BLOCK, SCAN_TOL, UNDEFINED, _depolarizing_T
 from pnmcore.errors import (
     CPTPViolation,
@@ -36,7 +37,7 @@ from pnmcore.errors import (
 from pnmcore.evolutions import F_ZERO_TOL, PAPER_EXAMPLE_F, pauli_min_prob, pauli_probs
 from pnmcore.cli import load_config, run_report
 from pnmcore.measures import _is_eb
-from pnmcore.numerics import DETECT_POINTS
+from pnmcore.numerics import DETECT_POINTS, ZOOM_LEVELS
 from tests.sequential import bisect_boundary
 
 HORIZON, N = 3.0, 40
@@ -625,15 +626,16 @@ def test_non_finite_pauli_probabilities_before_the_first_flag_are_raised():
     assert _same_times(e, HORIZON, 400) is None
 
 
-def test_run_report_evaluates_f_on_one_detection_grid_per_family(monkeypatch):
+def test_run_report_evaluates_f_on_one_detection_grid_per_op(monkeypatch):
     # T's revival peak, t_star's tangential touch, delta and rhp all read the
-    # family's one turning sequence: parent and core each evaluate f once on it
+    # family's one turning sequence, and the core reads the parent's past T:
+    # f is evaluated once on it per report
     sizes = []
     evaluate = exprparse.eval_ast
     monkeypatch.setattr(exprparse, "eval_ast", lambda node, t: sizes.append(np.size(t)) or evaluate(node, t))
     doc = run_report(load_config('{"evolution": {"preset": "paper-example"}}'))
     assert doc["classification"] == "NNM" and "core" in doc
-    assert [size for size in sizes if size > 2048] == [DETECT_POINTS] * 2
+    assert [size for size in sizes if size > 2048] == [DETECT_POINTS]
 
 
 @st.composite
@@ -668,6 +670,31 @@ def test_turning_sequence_delta_and_peak_match_a_dense_grid(e, horizon):
     _, m = analysis._max_after(e, tau, horizon)
     after = np.linspace(tau, horizon, 2**18 + 1)
     assert m >= np.max(e.f(after)) - 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=turning_families(), horizon=st.floats(3.0, 5.0), frac=st.floats(0.02, 0.85))
+def test_shared_core_matches_a_core_computing_its_own(e, horizon, frac):
+    # the core reads the parent's turning sequence and first zero past T, on
+    # the parent's grid; a family with the core's f finds its own on its own
+    zero = e.non_bijective_time(horizon)
+    T = frac * (horizon if zero is None else min(zero, horizon))
+    e.turning_points(horizon)
+    core = p.extract_pnm_core(e, T)
+    own = p.Depolarizing(core.f, dim=e.dim)
+    h = max(horizon - T, horizon / 10)
+    close = lambda a, b: a == b or math.isclose(a, b, rel_tol=1e-9)
+    assert close(measures._delta(core, h, 2000), measures._delta(own, h, 2000))
+    assert close(p.rhp_measure(core, h, 2000), p.rhp_measure(own, h, 2000))
+    z, own_z = core.non_bijective_time(h), own.non_bijective_time(h)
+    assert (z is None) == (own_z is None) and (z is None or abs(z - own_z) <= 1e-9)
+    tau = p.compute_tau_lambda(own, h, 400)
+    assume(tau < h)
+    (x, m), (own_x, own_m) = analysis._max_after(core, tau, h), analysis._max_after(own, tau, h)
+    assert math.isclose(m, own_m, rel_tol=1e-12)
+    # each zoom ends within a bracket of 2 steps / 16**(ZOOM_LEVELS - 1) of
+    # its grid, the parent's (the coarser) or the core's, about its peak
+    assert abs(x - own_x) <= 2 * horizon / (DETECT_POINTS - 1) / 16 ** (ZOOM_LEVELS - 1)
 
 
 def _reference_first_failing(e, cs, t_grid, tol=1e-9):
