@@ -223,9 +223,10 @@ def compute_tau_lambda(e: Evolution, horizon: float, n: int = 400) -> float:
 def _max_after(e: Depolarizing, tau: float, horizon: float):
     """(argmax, max) over f(tau) and f's turning sequence from tau to horizon; raises at a NaN or +inf."""
     ts, fv = e.turning_points(horizon)
-    after = ts >= tau
-    ts, fv = np.append(tau, ts[after]), np.append(e.f_at(tau), fv[after])
-    i = int(np.argmax(fv))  # the first NaN, or else +inf, if any: f_at raises there
+    k, at_tau = int(np.searchsorted(ts, tau)), e.f_at(tau)  # ts is sorted: ts[k:] are the times >= tau
+    i = k + int(np.argmax(fv[k:])) if k < len(ts) else k  # the first NaN, or else +inf, if any: f_at raises there
+    if i == len(ts) or fv[i] <= at_tau:  # f(tau) wins ties
+        return tau, at_tau
     return float(ts[i]), float(fv[i]) if math.isfinite(fv[i]) else e.f_at(float(ts[i]))
 
 

@@ -1,7 +1,8 @@
 """Configuration ingestion, command dispatch, and report/grid export.
 
-Subcommands: analyze, scan, core, measures, catalog, eb.  Exit codes:
-0 success, 1 configuration error, 2 numeric failure.  Exports are
+Subcommands: analyze, scan, core, measures, catalog, eb; core, measures and
+eb print parts of the analyze report.  Exit codes: 0 success, 1
+configuration error or no such part, 2 numeric failure.  Exports are
 byte-deterministic: the same config always produces the same files.
 """
 
@@ -35,6 +36,7 @@ from .errors import (
     ParseError,
     PnmError,
     SchemaError,
+    UnsupportedDimension,
 )
 from .evolutions import (
     Depolarizing,
@@ -48,14 +50,15 @@ from .evolutions import (
     validate_spec,
 )
 from .exprparse import ScalarFn
-from .measures import MeasureReport, eb_time_qubit, measure_report
+from .measures import MeasureReport, measure_report
 
 DEFAULT_HORIZON = 5.0
 DEFAULT_GRID = 400
 MAX_GRID = 2048  # a scan export, and a read of a grid's value or cls, grow as grid_points**2
 MAX_DIM = 32  # input validation: the report builds no dim^2 x dim^2 map, but the dense oracle maps do (16 MB at 32)
+MAX_HORIZON = 1e4  # a rate family's integrals cache every panel chunk up to the horizon
 
-_CONFIG_FIELDS = {"evolution", "horizon", "grid_points", "tolerances", "outputs", "seed"}
+_CONFIG_FIELDS = {"evolution", "horizon", "grid_points", "tolerances", "seed"}
 _EVOLUTION_FIELDS = {
     "preset",
     "type",
@@ -173,8 +176,8 @@ def load_config(text_or_path: str, strict: bool = True, overrides=None) -> Analy
         raise SchemaError("missing required field 'evolution'", "/evolution")
     raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
     horizon = _field(raw, "horizon", DEFAULT_HORIZON, float, "")
-    if horizon <= 0:
-        raise SchemaError("horizon must be positive and finite", "/horizon")
+    if not 0 < horizon <= MAX_HORIZON:
+        raise SchemaError(f"horizon must be positive and at most {MAX_HORIZON:g}", "/horizon")
     grid_points = _field(raw, "grid_points", DEFAULT_GRID, int, "")
     if not 16 <= grid_points <= MAX_GRID:
         raise SchemaError(f"grid_points must be from 16 to {MAX_GRID}", "/grid_points")
@@ -184,12 +187,6 @@ def load_config(text_or_path: str, strict: bool = True, overrides=None) -> Analy
     scan_tol = _field(tol, "scan", 1e-10, float, "/tolerances")
     if scan_tol < 0:
         raise SchemaError("tolerances.scan must be non-negative", "/tolerances/scan")
-    outputs = raw.get("outputs", ["report"])
-    if not isinstance(outputs, list):
-        raise SchemaError("'outputs' must be a list", "/outputs")
-    for o in outputs:
-        if o not in ("report", "grid", "flux"):
-            raise SchemaError(f"unknown output {o!r}", "/outputs")
     return AnalysisConfig(
         evolution=_build_evolution(raw["evolution"], strict),
         evolution_spec=raw["evolution"],
@@ -469,6 +466,15 @@ def _json_doc(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+# command -> (the part of the analyze report it needs, if any, and what it prints of the report)
+_VIEWS = {
+    "analyze": (None, lambda d: d),
+    "measures": ("measures", lambda d: d["measures"]),
+    "core": ("core", lambda d: {"parent_times": d["times"], "core_times": d["core"]["times"], "core_measures": d["core"]["measures"]}),
+    "eb": ("measures", lambda d: {"eb_time": d["measures"]["eb_time"], "horizon": d["config"]["horizon"]}),
+}
+
+
 @functools.lru_cache(maxsize=1)  # built once per process: it costs about 2 ms
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -479,16 +485,16 @@ def _parser() -> argparse.ArgumentParser:
     for name, help_ in (
         ("analyze", "full report: scan, characteristic times, core, measures"),
         ("scan", "export the CPTP region grid"),
-        ("core", "extract the PNM core and report its times and measures"),
-        ("measures", "measure bundle for the configured evolution"),
-        ("eb", "entanglement-breaking onset time"),
+        ("core", "the report's parent times and PNM core"),
+        ("measures", "the report's measure bundle"),
+        ("eb", "the report's entanglement-breaking onset time"),
     ):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="JSON config text or file path")
         sp.add_argument("--horizon", type=float, default=None)
         sp.add_argument("--grid", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--format", choices=("json", "csv"), default=None, help="scan only (default json)")
         sp.add_argument("--strict", action="store_true")
     sub.add_parser("catalog", help="list available presets")
     return p
@@ -501,6 +507,8 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
+        if args.format is not None and args.command != "scan":
+            raise SchemaError(f"--format is read only by scan, not by {args.command}", "/format")
         overrides = {"horizon": args.horizon, "grid_points": args.grid}
         cfg = load_config(args.config, strict=args.strict, overrides=overrides)
     except (ParseError, SchemaError) as exc:
@@ -510,32 +518,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "scan":
             grid = scan_regions(cfg.evolution, cfg.horizon, cfg.grid_points, cfg.scan_tol)
-            _write(_export_rows(grid, args.format), args.out)
+            _write(_export_rows(grid, args.format or "json"), args.out)
             return 0
-        if args.command == "analyze":
-            doc = run_report(cfg)
-        elif args.command == "measures":
-            ct = characteristic_times(cfg.evolution, cfg.horizon, cfg.grid_points)
-            doc = _measures_dict(measure_report(cfg.evolution, cfg.horizon, ct.T))
-        elif args.command == "core":
-            ct = characteristic_times(cfg.evolution, cfg.horizon, cfg.grid_points)
-            if ct.classification != "NNM" or not math.isfinite(ct.T):
-                print(
-                    f"no core to extract: classification {ct.classification}",
-                    file=sys.stderr,
-                )
-                return 1
-            core = extract_pnm_core(cfg.evolution, ct.T)
-            h = max(cfg.horizon - ct.T, cfg.horizon / 10)
-            doc = {
-                "parent_times": _times_dict(ct),
-                "core_times": _times_dict(ct.shifted()),
-                "core_measures": _measures_dict(measure_report(core, h, 0.0)),
-            }
-        else:  # eb
-            t_eb = eb_time_qubit(cfg.evolution, cfg.horizon, cfg.grid_points)
-            doc = {"eb_time": t_eb, "horizon": cfg.horizon}
-        _write([_json_doc(doc)], args.out)
+        if args.command == "eb" and cfg.evolution.dim != 2:
+            raise UnsupportedDimension(f"EB check implemented for qubits, got dim {cfg.evolution.dim}")
+        doc = run_report(cfg)
+        part, view = _VIEWS[args.command]
+        if part and part not in doc:
+            print(f"no {part} to report: classification {doc['classification']}", file=sys.stderr)
+            return 1
+        _write([_json_doc(view(doc))], args.out)
     except PnmError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pnmcore as p
+from pnmcore import analysis
 from pnmcore.analysis import CLASS_NAMES, CPTP, NONCPTP, REFINE_XTOL, UNDEFINED, CptpGrid
 from pnmcore.cli import _export_rows
+from pnmcore.errors import NonFiniteResult
 
 
 def test_scan_diagonal_is_cptp(catalog_grids):
@@ -269,3 +271,58 @@ def test_composition_rule_count_matches_brute_force(n, weights, seed):
     prob = np.array(weights) / sum(weights)
     cls = rng.choice([CPTP, NONCPTP, UNDEFINED], (n, n), p=prob).astype(np.int8)
     assert p.verify_composition_rules(_class_grid(cls)) == _brute_force_violations(cls)
+
+
+def _max_after_appended(e, tau, horizon):
+    """analysis._max_after as it was: argmax over f(tau) prepended to copies
+    of the turning sequence past tau."""
+    ts, fv = e.turning_points(horizon)
+    after = ts >= tau
+    ts, fv = np.append(tau, ts[after]), np.append(e.f_at(tau), fv[after])
+    i = int(np.argmax(fv))
+    return float(ts[i]), float(fv[i]) if math.isfinite(fv[i]) else e.f_at(float(ts[i]))
+
+
+class _Sequence:
+    """A family reduced to a given turning sequence and f(tau); f_at raises
+    where the value is not finite, as Depolarizing.f_at does."""
+
+    def __init__(self, points, tau, at_tau):
+        self.ts = np.cumsum([step for step, _ in points])  # sorted, with repeated times where a step is 0
+        self.fv = np.array([f for _, f in points])
+        self.tau, self.at_tau = tau, at_tau
+
+    def turning_points(self, horizon):
+        return self.ts, self.fv
+
+    def f_at(self, t):
+        v = self.at_tau if t == self.tau else float(self.fv[np.flatnonzero(self.ts == t)[0]])
+        if not math.isfinite(v):
+            raise NonFiniteResult(f"f({t}) is not finite")
+        return v
+
+
+_SEQUENCE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]), _SEQUENCE_VALUES), min_size=1, max_size=8),
+    tau=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 100.0]),
+    at_tau=_SEQUENCE_VALUES,
+)
+@example(points=[(0.0, 1.0), (0.5, 0.5), (0.5, 0.5)], tau=0.25, at_tau=0.5)  # f(tau) ties the later peaks
+@example(points=[(0.0, 1.0), (0.5, 0.5), (0.5, 0.5)], tau=0.5, at_tau=0.25)  # two equal peaks: the first
+@example(points=[(0.0, 1.0), (0.5, math.inf), (0.5, math.nan)], tau=0.25, at_tau=0.5)  # NaN before +inf
+@example(points=[(0.0, 1.0), (0.5, 0.25), (0.5, math.inf)], tau=0.25, at_tau=0.5)  # +inf raises
+@example(points=[(0.0, 1.0), (0.5, 0.5)], tau=2.0, at_tau=0.25)  # tau past the last point
+def test_max_after_matches_the_appended_sequence(points, tau, at_tau):
+    e = _Sequence(points, tau, at_tau)
+
+    def outcome(max_after):
+        try:
+            return max_after(e, tau, 5.0)
+        except NonFiniteResult as exc:
+            return str(exc)
+
+    assert outcome(analysis._max_after) == outcome(_max_after_appended)

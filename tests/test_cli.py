@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pnmcore as p
 from pnmcore import exprparse, linalg
 from pnmcore.analysis import CLASS_NAMES, CptpGrid
-from pnmcore.cli import _JSON_WIDTH, _encode_repr, export_grid, load_config, main, run_report
+from pnmcore.cli import MAX_HORIZON, _JSON_WIDTH, _encode_repr, _json_doc, export_grid, load_config, main, run_report
 from pnmcore.errors import ParseError, SchemaError
 from tests.golden_configs import GOLDEN_CONFIGS
 
@@ -410,6 +410,68 @@ def test_cli_eb(capsys):
     assert abs(doc["eb_time"] - math.log(3.0)) < 5e-3
 
 
+# every catalog preset and a typed family of each evolution type
+VIEW_CONFIGS = {
+    **{name: {"evolution": {"preset": name}} for name in p.PRESET_NAMES},
+    "depolarizing": {"evolution": {"type": "depolarizing", "f": "exp(-0.25*t)*(1-0.3+0.3*cos(3*t))"}, "horizon": 4},
+    **{name: GOLDEN_CONFIGS[name] for name in ("quasi-eternal-prefix", "rates-cos", "probs")},
+}
+
+# command -> (the part of the analyze report it needs, its view of the report)
+VIEWS = {
+    "core": (
+        "core",
+        lambda d: {"parent_times": d["times"], "core_times": d["core"]["times"], "core_measures": d["core"]["measures"]},
+    ),
+    "measures": ("measures", lambda d: d["measures"]),
+    "eb": ("measures", lambda d: {"eb_time": d["measures"]["eb_time"], "horizon": d["config"]["horizon"]}),
+}
+
+
+@pytest.mark.parametrize("grid", [200, 400])
+@pytest.mark.parametrize("name", VIEW_CONFIGS)
+def test_views_print_their_part_of_the_analyze_report(name, grid, capsys):
+    argv = ["--config", json.dumps(VIEW_CONFIGS[name]), "--grid", str(grid)]
+    assert main(["analyze", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for command, (part, view) in VIEWS.items():
+        rc = main([command, *argv])
+        out, err = capsys.readouterr()
+        if part in doc:
+            assert (rc, out) == (0, _json_doc(view(doc))), command
+        else:  # core on a non-NNM family
+            assert (rc, out) == (1, ""), command
+            assert err.startswith(f"no {part} ") and err.endswith(f"classification {doc['classification']}\n")
+
+
+@pytest.mark.parametrize("command", ["core", "measures", "eb"])
+def test_unitary_family_has_no_views(command, capsys):
+    # a UnitaryTrivial report has neither a core nor measures
+    config = '{"evolution":{"type":"depolarizing","f":"1"},"grid_points":64}'
+    assert main([command, "--config", config]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("classification UnitaryTrivial\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["analyze", "core", "measures", "eb"])
+def test_format_is_read_only_by_scan(command, fmt, capsys):
+    config = '{"evolution":{"preset":"paper-example"},"grid_points":64}'
+    assert main([command, "--config", config, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:") and "(at /format)" in err
+
+
+def test_eb_at_dim_3_is_an_unsupported_dimension(capsys):
+    config = '{"evolution":{"preset":"paper-example","dim":3},"grid_points":64}'
+    assert main(["eb", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "UnsupportedDimension" in err
+
+
 @pytest.mark.parametrize(
     "config, pointer",
     [
@@ -419,7 +481,6 @@ def test_cli_eb(capsys):
         ('{"evolution":{"type":"depolarizing","f":"exp(-t)","dim":1}}', "/evolution/dim"),
         ('{"evolution":{"type":"depolarizing","f":"exp(-t)","dim":33}}', "/evolution/dim"),
         ('{"evolution":{"preset":"paper-example","dim":1000000}}', "/evolution/dim"),
-        ('{"evolution":{"preset":"eternal"},"outputs":"report"}', "/outputs"),
         ('{"evolution":{"preset":"eternal"},"tolerances":{"scan":"x"}}', "/tolerances/scan"),
         ('{"evolution":{"type":"quasiEternal","alpha":"x","t0":1}}', "/evolution/alpha"),
         ('{"evolution":{"preset":"eternal"},"tolerances":{"scan":-1}}', "/tolerances/scan"),
@@ -430,6 +491,26 @@ def test_bad_config_values_exit_1_with_pointer(config, pointer, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert f"(at {pointer})" in err
+
+
+def test_strict_rejects_the_removed_outputs_field(capsys):
+    config = '{"evolution":{"preset":"eternal"},"outputs":["report"]}'
+    assert main(["analyze", "--config", config, "--strict"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config fields: ['outputs']")
+    assert "(at /)" in err
+
+
+def test_horizon_over_ceiling_is_rejected_after_the_override():
+    assert MAX_HORIZON == 1e4
+    config = '{"evolution":{"preset":"eternal"},"horizon":%s}'
+    assert load_config(config % 1e4).horizon == 1e4
+    for text, override in ((config % 2e4, None), (config % 5, 1.5e4)):
+        with pytest.raises(SchemaError) as exc:
+            load_config(text, overrides={"horizon": override})
+        assert exc.value.pointer == "/horizon"
+    # the --horizon override replaces a horizon over the ceiling before the check
+    assert load_config(config % 1e6, overrides={"horizon": 5.0}).horizon == 5.0
 
 
 def test_grid_points_over_ceiling_exits_1(capsys):
