@@ -51,7 +51,7 @@ from .evolutions import (
     t0_alpha,
     validate_spec,
 )
-from .exprparse import ScalarFn, numeric_derivative, parse_expr
+from .exprparse import ScalarFn, parse_expr
 from .linalg import (
     Superoperator,
     apply_map,

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .evolutions import Depolarizing, Evolution, ShiftedDepolarizing, ShiftedPauli
-from .exprparse import numeric_derivative
 from .numerics import EVAL_ERRORS, bisect_boundary, bisect_root
 
 SCAN_TOL = 1e-10
@@ -184,49 +183,39 @@ class CharTimes:
         )
 
 
-def _non_cptp(e: Evolution, ts: np.ndarray, step: float) -> np.ndarray:
+def _non_cptp(e: Evolution, ts: np.ndarray) -> np.ndarray:
     """Whether the infinitesimal intermediate map at each time in ts is
-    non-CPTP: f rising, a negative rate, or the scaled smallest eigenvalue of
-    V_{t + eps, t} negative at two step sizes (the finest, if they disagree)."""
-    if isinstance(e, Depolarizing):
-        return numeric_derivative(e.f, np.maximum(ts, 1e-7)) > 0.0
-    rm = e.rate_min(ts)
-    if rm is not None:
-        return rm < 0.0
-    scaled = lambda ts, eps: e.intermediate_min_choi(ts, ts + eps) / eps
-    v1, v2 = scaled(ts, step), scaled(ts, step / 2.0)
-    a, b = np.abs(v1), np.abs(v2)
-    live = np.where(b < a, b, a) > SCAN_TOL  # not (min(a, b) <= SCAN_TOL), NaN as min() has it
-    agree = (v1 < 0) == (v2 < 0)
-    flags, odd = live & agree & (v1 < 0), live & ~agree
-    flags[odd] = scaled(ts[odd], step / 4.0) < 0  # disagreement: trust the finest step
-    return flags
+    non-CPTP: a negative canonical rate (for a depolarizing family, f rising)."""
+    return e.rate_min(ts) < 0.0
 
 
 def compute_tau_lambda(e: Evolution, horizon: float, n: int = 400) -> float:
     """Earliest time whose infinitesimal intermediate map is non-CPTP;
     math.inf if none is found inside the horizon."""
     ts = np.linspace(0.0, horizon, n)
-    step = float(ts[1] - ts[0])
     try:
-        flags = _non_cptp(e, ts, step)
+        flags = _non_cptp(e, ts)
     except EVAL_ERRORS:  # raise only what the times taken one by one raise before the first flag
-        flags = (_non_cptp(e, ts[k : k + 1], step)[0] for k in range(len(ts)))
+        flags = (_non_cptp(e, ts[k : k + 1])[0] for k in range(len(ts)))
     k = next((k for k, flag in enumerate(flags) if flag), None)
     if k is None:
         return math.inf
     if ts[k] == 0.0:
         return 0.0
-    return bisect_boundary(lambda xs: ~_non_cptp(e, xs, step), float(ts[k - 1]), float(ts[k]), REFINE_XTOL)
+    return bisect_boundary(lambda xs: ~_non_cptp(e, xs), float(ts[k - 1]), float(ts[k]), REFINE_XTOL)
+
+
+def _after(e: Depolarizing, tau: float, horizon: float):
+    """tau and f's turns from tau to horizon, with f at them."""
+    ts, lam = e.turns(horizon)
+    k = int(np.searchsorted(ts, tau))  # ts is sorted: ts[k:] are the times >= tau
+    return np.append(tau, ts[k:]), np.append(e.f_at(tau), lam[k:, 0])
 
 
 def _max_after(e: Depolarizing, tau: float, horizon: float):
-    """(argmax, max) over f(tau) and f's turning sequence from tau to horizon; raises at a NaN or +inf."""
-    ts, fv = e.turning_points(horizon)
-    k, at_tau = int(np.searchsorted(ts, tau)), e.f_at(tau)  # ts is sorted: ts[k:] are the times >= tau
-    i = k + int(np.argmax(fv[k:])) if k < len(ts) else k  # the first NaN, or else +inf, if any: f_at raises there
-    if i == len(ts) or fv[i] <= at_tau:  # f(tau) wins ties
-        return tau, at_tau
+    """(argmax, max) of f over _after, the first of equal ones (f(tau) wins ties); raises at a NaN or +inf."""
+    ts, fv = _after(e, tau, horizon)
+    i = int(np.argmax(fv))  # the first NaN, or else +inf, if any: f_at raises there
     return float(ts[i]), float(fv[i]) if math.isfinite(fv[i]) else e.f_at(float(ts[i]))
 
 
@@ -315,13 +304,14 @@ def compute_t_star(
     if abs(tau - T) <= 2 * REFINE_XTOL:
         return T  # T = tau forces T = tau = t_star
     if isinstance(e, Depolarizing):
+        # f is monotone between its turns: the first crossing of f(T) after
+        # tau is in the first interval from tau whose end reaches f(T)
         target = e.f_at(T)
-        ts = np.linspace(tau, horizon, max(n, 2048))
-        fv = np.asarray(e.f(ts), dtype=float) - target
-        idx = np.flatnonzero(fv >= 0)
+        ts, fv = _after(e, tau, horizon)
+        idx = np.flatnonzero(fv >= target)
         if len(idx):
             i = int(idx[0])
-            return float(ts[0]) if i == 0 else bisect_root(lambda x: e.f_at(x) - target, float(ts[i - 1]), float(ts[i]), 1e-6)
+            return tau if i == 0 else bisect_root(lambda x: e.f_at(x) - target, float(ts[i - 1]), float(ts[i]), 1e-6)
         # f only touches f(T) tangentially at its revival peak
         tp, fp = _max_after(e, tau, horizon)
         return tp if fp >= target - 1e-6 else math.inf

@@ -25,7 +25,7 @@ from .errors import (
     UndefinedIntermediateMap,
 )
 from .exprparse import ScalarFn
-from .numerics import DETECT_POINTS, EVAL_ERRORS, CumulativeIntegral, bisect_root, ternary_search, turning_sequence
+from .numerics import DETECT_POINTS, EVAL_ERRORS, RATE_POINTS, CumulativeIntegral, bisect_root, rate_roots, ternary_search
 
 F_ZERO_TOL = 1e-12
 
@@ -98,11 +98,13 @@ class Evolution:
     for a float or an array of times; for maps with eigenvalues lam, the
     smallest Choi eigenvalue `min_choi(lam)` and the dense map
     `superoperator(lam)`; `singular(s)`, the error for V_{t,s} where
-    lambda(s) vanishes; and `is_unitary_at(t)`.  V_{t,s} has
-    lambda(t) / lambda(s)."""
+    lambda(s) vanishes; `is_unitary_at(t)`; and the canonical rates `rates(ts)`
+    (Hall, Cresser, Li, Andersson, PRA 89, 042120 (2014)) and their integrals
+    `rate_integrals(ts)`.  V_{t,s} has lambda(t) / lambda(s)."""
 
     dim: int = 2
     singular_tol = -math.inf  # |lambda(s)| at or below it: V_{t,s} is not defined
+    rate_points = RATE_POINTS
 
     def log_map_eigenvalues(self, ts) -> np.ndarray:
         """log |lambda(ts)|, which families with exponential eigenvalues
@@ -141,15 +143,24 @@ class Evolution:
         """Smallest Choi eigenvalue of V_{t,s}, broadcast over s and t."""
         return self.min_choi(self.intermediate_eigenvalues(s, t))
 
-    def rate_min(self, ts) -> Optional[np.ndarray]:
-        """min_i gamma_i(ts) for rate-driven families, else None."""
-        g = self.rates(ts)
-        return None if g is None else np.min(g, axis=-1)
+    def rate_min(self, ts) -> np.ndarray:
+        """min_i gamma_i(ts); rates(ts, i) is gamma_i(ts) alone, shape ts.shape."""
+        return np.min(self.rates(ts), axis=-1)
 
-    def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
-        """gamma(ts), shape (..., 3), or gamma_i(ts) alone, shape ts.shape,
-        for families given by rate expressions, else None."""
-        return None
+    def turns(self, horizon: float, n: int = 0):
+        """(times, map eigenvalues at them): 0, the rates' sign changes on linspace(0,
+        horizon, max(n, rate_points)), and horizon, in order; each c_i (and f) is
+        monotone between consecutive times.  Kept for the last horizon and grid asked."""
+        key = (horizon, max(n, self.rate_points))
+        cached = self.__dict__.get("_turn_cache")
+        if cached is None or cached[0] != key:
+            cached = self.__dict__["_turn_cache"] = key, self._turns(*key)
+        return cached[1]
+
+    def _turns(self, horizon: float, n: int):
+        ts = np.linspace(0.0, horizon, n)
+        points = np.concatenate(([0.0], np.sort(rate_roots(self.rates, ts, self.rates(ts))), [horizon]))
+        return points, self.map_eigenvalues(points)
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         """First time in (0, horizon] where the dynamical map loses its
@@ -170,9 +181,10 @@ class Evolution:
 class Depolarizing(Evolution):
     """rho -> f(t) rho + (1 - f(t)) Tr[rho] 1/d, the one map eigenvalue f(t)."""
 
-    f: ScalarFn  # or any function of a float or an array of times, as a core's f(t + T) / f(T)
+    f: ScalarFn
     dim: int = 2
     singular_tol = F_ZERO_TOL
+    rate_points = DETECT_POINTS
 
     def f_at(self, ts):
         """f at a float (a float) or an array of times, raising where it is not finite."""
@@ -210,45 +222,42 @@ class Depolarizing(Evolution):
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         return self._first_zero(self.f, horizon)
 
-    def turning_points(self, horizon: float, n: int = DETECT_POINTS):
-        """(times, f at them): linspace(0, horizon, n) merged with f's zoom-refined local
-        extrema, kept for the last horizon and n asked.  T's peak, delta and rhp read it."""
-        cached = self.__dict__.get("_turning")
-        if cached is None or cached[0] != (horizon, n):
-            cached = self.__dict__["_turning"] = (horizon, n), self._turning_sequence(horizon, n)
-        return cached[1]
+    def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
+        """The d^2 - 1 equal canonical rates summed, -(1 - 1/d^2) f'/|f|: of -f''s sign where
+        f < 0 too (tau is f's first rise), one column; raises where f' is not finite."""
+        f, df = self.f.dual(ts)
+        bad = ~np.isfinite(df)
+        if np.any(bad):
+            raise NonFiniteResult(f"derivative not finite at t={np.broadcast_to(ts, bad.shape)[bad].flat[0]}")
+        with np.errstate(divide="ignore", invalid="ignore"):  # f = 0: an infinite rate of -f''s sign, or NaN
+            g = -(1.0 - 1.0 / self.dim**2) * df / np.abs(f)
+        return g[..., None] if i is None else g
 
-    def _turning_sequence(self, horizon: float, n: int):
-        ts, fv = turning_sequence(self.map_eigenvalues, np.linspace(0.0, horizon, n))
-        return ts, fv[:, 0]
+    def rate_integrals(self, ts) -> np.ndarray:
+        """c = -(1 - 1/d^2) ln|f| before f's first zero, one column."""
+        return -(1.0 - 1.0 / self.dim**2) * self.log_map_eigenvalues(ts)
 
 
 class ShiftedDepolarizing(Depolarizing):
-    """The core t -> V_{t + shift, shift} of a depolarizing parent, with
-    f(t) = parent.f(t + shift) / parent.f(shift).  Its turning points and
-    first zero are the parent's cached ones past shift, shifted and scaled,
-    wherever the parent's range covers [shift, shift + horizon]."""
+    """The core t -> V_{t + shift, shift} of a depolarizing parent, with f(t) =
+    parent.f(t + shift) / parent.f(shift) and the parent's rates at t + shift.
+    Its turns and first zero are the parent's cached ones past shift, shifted
+    and scaled, wherever the parent's range covers [shift, shift + horizon]."""
 
     def __init__(self, parent: Depolarizing, shift: float):
         at_shift = parent.f_at(shift)
         if at_shift <= F_ZERO_TOL:
             raise UndefinedIntermediateMap(f"f({shift}) = 0: core undefined at or past t_NB")
-        super().__init__(lambda ts: parent.f(np.add(ts, shift)) / at_shift, parent.dim)
+        super().__init__(parent.f.shifted(shift, at_shift), parent.dim)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "_at_shift", at_shift)
 
-    def _turning_sequence(self, horizon: float, n: int):
-        (h, m), _ = self.parent.__dict__.get("_turning", ((None, 0), None))  # the parent's, if as fine
-        h, end = _covering([h] if m >= n else [], self.shift, horizon)
-        if h is None:
-            return super()._turning_sequence(horizon, n)
-        ts, fv = self.parent.turning_points(h, m)
-        keep = (ts > self.shift) & (ts <= end)
-        ts, fv = np.append(0.0, ts[keep] - self.shift), np.append(1.0, fv[keep] / self._at_shift)
-        if end < h:  # the parent's range goes on: the core's ends at its horizon
-            ts, fv = np.append(ts, horizon), np.append(fv, self.f(horizon))
-        return ts, fv
+    def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
+        return self.parent.rates(np.add(ts, self.shift), i)
+
+    def _turns(self, horizon: float, n: int):
+        return _parent_turns(self, horizon, n, self._at_shift) or super()._turns(horizon, n)
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         t = _parent_zero(self.parent, self.shift, horizon)
@@ -283,6 +292,11 @@ class PauliDiagonal(Evolution):
         # a Pauli map is unitary iff it is conjugation by a single sigma_i
         return np.maximum.reduce(pauli_probs(self.map_eigenvalues(t))) >= 1.0 - 1e-9
 
+    def rate_integrals(self, ts) -> np.ndarray:
+        """c_i = ln lambda_i / 2 - sum_k ln lambda_k / 4, from the log-eigenvalues."""
+        logs = self.log_map_eigenvalues(ts)
+        return logs / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
+
 
 @dataclass(frozen=True)
 class PauliProbs(PauliDiagonal):
@@ -293,19 +307,22 @@ class PauliProbs(PauliDiagonal):
     p_z: ScalarFn
     dim: int = 2
     singular_tol = 1e-12
+    rate_points = DETECT_POINTS
 
     @functools.cached_property
     def _fns(self) -> tuple:  # p_x, p_y, p_z, equal parsed expressions one object
-        return tuple(_once_each((self.p_x, self.p_y, self.p_z), lambda p: p, lambda p: getattr(p, "ast", p)))
+        return tuple(_once_each((self.p_x, self.p_y, self.p_z), lambda p: p, lambda p: p.ast))
 
-    def probs_at(self, ts):
-        """(p_0, p_x, p_y, p_z) at a float or an array of times."""
+    def probs_at(self, ts, dual: bool = False):
+        """(p_0, p_x, p_y, p_z) at a float or an array of times, and with dual (p_x', p_y', p_z')."""
         ts = np.asarray(ts, dtype=float)
-        px, py, pz = (np.broadcast_to(np.asarray(p, dtype=float), ts.shape) for p in _once_each(self._fns, lambda p: p(ts)))
+        call = (lambda p: p.dual(ts)) if dual else (lambda p: (p(ts),))
+        (px, *dx), (py, *dy), (pz, *dz) = ([np.broadcast_to(np.asarray(v, dtype=float), ts.shape) for v in vs] for vs in _once_each(self._fns, call))
         bad = ~np.isfinite(px + py + pz)
         if np.any(bad):
             raise NonFiniteResult(f"Pauli probabilities not finite at t={ts[bad].flat[0]}")
-        return (1.0 - px - py - pz, px, py, pz)
+        probs = (1.0 - px - py - pz, px, py, pz)
+        return probs + ((*dx, *dy, *dz),) if dual else probs
 
     def map_eigenvalues(self, ts) -> np.ndarray:
         return np.stack(pauli_eigs_from_probs(*self.probs_at(ts)), axis=-1)
@@ -318,6 +335,16 @@ class PauliProbs(PauliDiagonal):
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         return self._first_zero(lambda ts: np.prod(self.map_eigenvalues(ts), axis=-1), horizon)
+
+    def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
+        """lambda_x' = -2(p_y' + p_z'), D_x = -lambda_x' / (2 lambda_x), gamma_x = (D_y + D_z -
+        D_x) / 2, cyclically; NaN or infinite where a lambda_k vanishes or a p_k' is not finite."""
+        *probs, (dx, dy, dz) = self.probs_at(ts, dual=True)
+        lam = np.stack(pauli_eigs_from_probs(*probs), axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.stack([dy + dz, dx + dz, dx + dy], axis=-1) / lam  # D = -lambda' / (2 lambda)
+            g = (d[..., :1] + d[..., 1:2] + d[..., 2:]) / 2.0 - d
+        return g if i is None else g[..., i]
 
 
 @dataclass
@@ -420,6 +447,8 @@ class ShiftedPauli(PauliDiagonal):
     parent: PauliDiagonal
     shift: float
 
+    rate_points = property(lambda self: self.parent.rate_points)
+
     @functools.cached_property
     def _at_shift(self) -> tuple:
         """(lambda(shift), log |lambda(shift)|), once per core; raises, on every access, where it is singular."""
@@ -439,8 +468,12 @@ class ShiftedPauli(PauliDiagonal):
         _check_order(s, t)
         return self.parent.intermediate_eigenvalues(np.add(s, self.shift), np.add(t, self.shift))
 
-    def rates(self, ts, i: Optional[int] = None) -> Optional[np.ndarray]:
+    def rates(self, ts, i: Optional[int] = None) -> np.ndarray:
+        self._at_shift  # raises where lambda(shift) is singular: the core is undefined
         return self.parent.rates(np.add(ts, self.shift), i)
+
+    def _turns(self, horizon: float, n: int):
+        return _parent_turns(self, horizon, n, self._at_shift[0]) or super()._turns(horizon, n)
 
     def non_bijective_time(self, horizon: float) -> Optional[float]:
         t = _parent_zero(self.parent, self.shift, horizon)
@@ -466,6 +499,21 @@ def _covering(horizons, shift: float, horizon: float):
         if end < h:
             return h, end
     return None, None
+
+
+def _parent_turns(core, horizon: float, n: int, at_shift):
+    """A core's turns: its parent's cached ones past shift, shifted and divided by its
+    eigenvalues at shift, if they cover [shift, shift + horizon] on a grid as fine; else None."""
+    (h, m), cached = core.parent.__dict__.get("_turn_cache", ((None, 0), None))
+    h, end = _covering([h] if m >= n else [], core.shift, horizon)
+    if h is None:
+        return None
+    ts, lam = cached
+    keep = (ts > core.shift) & (ts <= end)
+    ts, lam = np.append(0.0, ts[keep] - core.shift), np.concatenate((np.ones((1, lam.shape[-1])), lam[keep] / at_shift))
+    if end < h:  # the parent's range goes on: the core's ends at its horizon
+        ts, lam = np.append(ts, horizon), np.concatenate((lam, core.map_eigenvalues(np.array([horizon]))))
+    return ts, lam
 
 
 _UNCOVERED = object()

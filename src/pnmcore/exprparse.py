@@ -11,18 +11,18 @@ Grammar (one variable ``t``, fixed function set):
 Unary minus binds looser than '^', so "-2^2" evaluates to -4.  Expressions
 nest at most MAX_DEPTH levels deep (groups, call arguments, unary minus
 signs, exponents), and their trees are at most MAX_DEPTH levels deep.
-Evaluation is numpy-based and works elementwise on arrays of t values.
+Evaluation is numpy-based and works elementwise on arrays of t values; a
+forward-mode walk gives the exact derivative with the same values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ExprSyntaxError, NonFiniteResult, UnbalancedParens, UnknownFunction
+from .errors import ExprSyntaxError, UnbalancedParens, UnknownFunction
 
 FUNCTIONS = {
     "exp": np.exp,
@@ -36,8 +36,21 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 
-DERIV_STEP = 1e-6
+# d/da of each function, from its argument a and its value v
+DERIVATIVES = {
+    "exp": lambda a, v: v,
+    "log": lambda a, v: 1.0 / a,
+    "sin": lambda a, v: np.cos(a),
+    "cos": lambda a, v: -np.sin(a),
+    "cosh": lambda a, v: np.sinh(a),
+    "sinh": lambda a, v: np.cosh(a),
+    "tanh": lambda a, v: 1.0 - v * v,
+    "sqrt": lambda a, v: 0.5 / v,
+    "abs": lambda a, v: np.sign(a),
+}
+
 MAX_DEPTH = 200  # nesting levels of an expression, and levels of its tree
+CHILDREN = ("operand", "left", "right", "argument")  # the fields of a node that hold nodes
 
 
 @dataclass(frozen=True)
@@ -102,9 +115,9 @@ class _Parser:
                 raise UnbalancedParens("unmatched ')'", self.pos)
             self.error(f"unexpected character {self.peek()!r}")
         # evaluation recurses once per tree level; long + - * / chains deepen the tree too
-        level, depth, fields = [node], 0, ("operand", "left", "right", "argument")
+        level, depth = [node], 0
         while level:
-            level, depth = [getattr(n, k) for n in level for k in fields if hasattr(n, k)], depth + 1
+            level, depth = [getattr(n, k) for n in level for k in CHILDREN if hasattr(n, k)], depth + 1
         if depth > MAX_DEPTH:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
         return node
@@ -237,6 +250,49 @@ def _eval(node: ExprAst, t: np.ndarray):
     return FUNCTIONS[node.name](np.float64(0.0) + _eval(node.argument, t))
 
 
+def eval_dual(node: ExprAst, t):
+    """(f, f') at a scalar or ndarray t in one forward-mode walk, f with eval_ast's
+    bits; a constant exponent has no ln a term, so t^2 has a derivative at t = 0."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    with np.errstate(all="ignore"):
+        pair = _dual(node, ts)
+    return tuple((v if np.ndim(v) else np.full(ts.shape, v)).reshape(np.shape(t))[()] for v in pair)
+
+
+def _dual(node: ExprAst, t: np.ndarray):
+    if isinstance(node, Number):
+        return node.value, 0.0
+    if isinstance(node, Variable):
+        return t, 1.0
+    if isinstance(node, Unary):
+        v, d = _dual(node.operand, t)
+        return -v, -d
+    if isinstance(node, Call):
+        a, da = _dual(node.argument, t)
+        a = np.float64(0.0) + a
+        v = FUNCTIONS[node.name](a)
+        return v, DERIVATIVES[node.name](a, v) * da
+    (left, dl), (right, dr) = _dual(node.left, t), _dual(node.right, t)
+    if node.op == "+":
+        return left + right, dl + dr
+    if node.op == "-":
+        return left - right, dl - dr
+    if node.op == "*":
+        return left * right, dl * right + left * dr
+    if node.op == "/":
+        v = np.divide(left, right)
+        return v, (dl - v * dr) / right
+    v = np.power(left, right)  # (a^b)' = b a^(b-1) a' + ln a a^b b'
+    return v, right * np.power(left, right - 1.0) * dl + (0.0 if np.ndim(dr) == 0 and dr == 0.0 else np.log(left) * v * dr)
+
+
+def _substitute(node: ExprAst, t: ExprAst) -> ExprAst:
+    """node with the tree t in place of the variable."""
+    if isinstance(node, Variable):
+        return t
+    return type(node)(**{k: _substitute(v, t) if k in CHILDREN else v for k, v in vars(node).items()})
+
+
 @dataclass(frozen=True)
 class ScalarFn:
     """A parsed scalar function of t."""
@@ -255,17 +311,11 @@ class ScalarFn:
     def __call__(self, t):
         return eval_ast(self.ast, t)
 
-    def eval_finite(self, t) -> float:
-        v = float(eval_ast(self.ast, float(t)))
-        if not math.isfinite(v):
-            raise NonFiniteResult(f"{self.source or 'expression'} is not finite at t={t}")
-        return v
+    def dual(self, t):
+        """(f(t), f'(t)), f with the bits of self(t)."""
+        return eval_dual(self.ast, t)
 
-
-def numeric_derivative(f: ScalarFn, t, h: float = DERIV_STEP):
-    """Central difference, O(h^2) error, at a float or an array of times."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d raises below
-        d = (np.asarray(f(t + h), dtype=float) - f(t - h)) / (2 * h)
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteResult(f"derivative not finite at t={np.broadcast_to(t, d.shape)[~np.isfinite(d)].flat[0]}")
-    return d
+    def shifted(self, shift: float, scale: float) -> "ScalarFn":
+        """t -> self(t + shift) / scale, with the bits of those two operations."""
+        ast = Binary("/", _substitute(self.ast, Binary("+", Variable(), Number(shift))), Number(scale))
+        return ScalarFn(ast, f"({self.source})(t + {float(shift)!r}) / {float(scale)!r}")

@@ -28,13 +28,10 @@ from .errors import (
 )
 from .evolutions import F_ZERO_TOL, Depolarizing, Evolution, pauli_probs
 from .exprparse import ScalarFn
-from .numerics import DETECT_POINTS, ROUND_STEPS, bisect_boundary, turning_sequence
+from .numerics import bisect_boundary
 
 HERM_INPUT_TOL = 1e-8
 STATE_TOL = 1e-8
-RATE_POINTS = 32768  # rate signs are cheap to sample: a finer grid for sin(1/t)-like rates
-ROOT_STEPS = 12  # bisection steps of a rate sign change: 2**-12 of a grid step
-ROUND_PROBES = 1024  # probes a round of rate roots may take: a rates call on fewer costs about its overhead
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,12 @@ def integrate_flux_measures(series: FluxSeries):
 
 def revivals_delta(f: ScalarFn, horizon: float, n: int = 2000) -> float:
     """Total increase of f over all maximal intervals of growth, between its
-    refined local extrema: measure_report's delta."""
+    turns: measure_report's delta."""
     return _delta(Depolarizing(f), horizon, n)
 
 
 def _delta(e: Depolarizing, horizon: float, n: int) -> float:
-    return _decrease(-e.turning_points(horizon, max(n, DETECT_POINTS))[1])
+    return _decrease(-e.turns(horizon, n)[1][:, 0])
 
 
 def depolarizing_measures(delta: float, f_at_T: float):
@@ -182,71 +179,23 @@ def _decrease(c: np.ndarray) -> float:
     return float(np.sum(np.fmax(c[:-1] - c[1:], 0.0)))
 
 
-def _rate_roots(e: Evolution, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sign changes of each rate column of g = e.rates(ts), each column
-    bisected ROOT_STEPS times with its own rate expression alone, in rounds:
-    one rates call at every probe of all its roots' next steps, ROUND_STEPS
-    of them or fewer where that takes over ROUND_PROBES probes, on which the
-    steps are replayed (the probes are the step-by-step mids)."""
-    roots = []
-    for i in range(g.shape[-1]):
-        k = np.flatnonzero((g[:-1, i] < 0) != (g[1:, i] < 0))
-        lo, hi, neg, cols = ts[k], ts[k + 1], g[k, i] < 0, np.arange(len(k))
-        depth = max(1, min(ROUND_STEPS, (ROUND_PROBES // max(len(k), 1) + 1).bit_length() - 1))  # (2^depth - 1) len(k) probes
-        for done in range(0, ROOT_STEPS if len(k) else 0, depth):
-            steps = min(depth, ROOT_STEPS - done)
-            mids, a, b = [], lo[None], hi[None]
-            for _ in range(steps):  # level l has 2^l brackets: node j's (mid, b) is node j of the next, (a, mid) node j + 2^l
-                mids.append(0.5 * (a + b))
-                a, b = np.concatenate((mids[-1], a)), np.concatenate((b, mids[-1]))
-            mids = np.concatenate(mids)
-            kept = (e.rates(mids, i) < 0) == neg
-            node = np.zeros(len(k), dtype=np.intp)
-            for level in range(steps):
-                row = (1 << level) - 1 + node
-                mid, left = mids[row, cols], kept[row, cols]
-                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-                node = np.where(left, node, node + (1 << level))
-        roots.append(0.5 * (lo + hi))
-    return np.concatenate(roots)
-
-
 def rhp_measure(e: Evolution, horizon: float, n: int = 4000) -> float:
     """Rivas-Huelga-Plenio measure, the integrated Choi trace-norm excess of
     the infinitesimal intermediate maps, in closed form.
 
-    With the canonical rates gamma_i of a Pauli-diagonal family (Hall,
-    Cresser, Li, Andersson, PRA 89, 042120 (2014)) the excess of V_{t+dt,t}
-    is 2 sum_i max(-gamma_i, 0) dt, so RHP is twice the total decrease of
-    c_i = int gamma_i = lnlambda_i / 2 - sum_k lnlambda_k / 4; for a
-    depolarizing family it is 2(d^2 - 1)/d^2 times the total increase of
-    ln|f|, read from f's turning sequence (ln|f| turns with f before t_nb).
-    The turning points of c are bracketed on one grid of max(n, DETECT_POINTS)
-    points, or from the sign of the rate expressions on max(n, RATE_POINTS)
-    points where the family has them, and refined; between them the sum is
-    exact.  inf where an eigenvalue rises out of a zero (non_bijective_time)."""
-    if isinstance(e, Depolarizing):
-        ts, fv = e.turning_points(horizon, max(n, DETECT_POINTS))
-        t_nb = e.non_bijective_time(horizon)
-        if t_nb is not None and np.any(np.abs(fv[ts > t_nb]) > F_ZERO_TOL):
+    With the canonical rates gamma_i (Hall, Cresser, Li, Andersson, PRA 89,
+    042120 (2014)) the excess of V_{t+dt,t} is 2 sum_i max(-gamma_i, 0) dt,
+    so RHP is twice the total decrease of c_i = int gamma_i (rate_integrals),
+    which is monotone between the family's turns: the sum over them is exact.
+    inf where an eigenvalue rises out of a zero (non_bijective_time)."""
+    ts, lam = e.turns(horizon, n)
+    t_nb = e.non_bijective_time(horizon)
+    if t_nb is not None:
+        if np.any(np.prod(np.abs(lam[ts > t_nb]), axis=-1) > F_ZERO_TOL):
             return math.inf
-        with np.errstate(divide="ignore"):
-            return 2.0 * (1.0 - 1.0 / e.dim**2) * _decrease(-np.log(np.abs(fv if t_nb is None else fv[ts < t_nb])))
-    c = lambda ts: (logs := e.log_map_eigenvalues(ts)) / 2.0 - (logs[..., :1] + logs[..., 1:2] + logs[..., 2:]) / 4.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = np.linspace(0.0, horizon, max(n, RATE_POINTS))
-        g = e.rates(ts)
-        if g is not None:
-            # c is monotone between the sign changes of the rates
-            points = np.sort(np.concatenate([[0.0, horizon], _rate_roots(e, ts, g)]))
-            return 2.0 * _decrease(c(points))
-        ts = np.linspace(0.0, horizon, max(n, DETECT_POINTS))
-        t_nb = e.non_bijective_time(horizon)
-        if t_nb is not None:
-            if np.any(np.sum(e.log_map_eigenvalues(ts[ts > t_nb]), axis=-1) > math.log(F_ZERO_TOL)):
-                return math.inf
-            ts = ts[ts < t_nb]
-        return 2.0 * _decrease(turning_sequence(c, ts)[1])
+        ts = ts[ts < t_nb]
+    with np.errstate(divide="ignore", invalid="ignore"):  # c is +-inf at an eigenvalue zero
+        return 2.0 * _decrease(e.rate_integrals(ts))
 
 
 def _is_eb(e: Evolution, ts):

@@ -1,6 +1,6 @@
 """Quadrature (adaptive Simpson, and panel Gauss-Legendre cumulative
 integrals for arrays of times), bisection and ternary-search refinement
-in vectorized rounds, and zoom-refined turning points on a grid."""
+in vectorized rounds, and the sign changes of rates on a grid."""
 
 from __future__ import annotations
 
@@ -17,8 +17,10 @@ PANEL_TOL = 1e-13  # per panel; a piece of width w gets w / PANEL_WIDTH of it
 GL_ORDER = 10
 MAX_LEVEL = 20
 EVAL_ERRORS = (PnmError, ArithmeticError, ValueError)  # what evaluating a family can raise
-DETECT_POINTS = 16384  # turning points closer than horizon / DETECT_POINTS can be missed
-ZOOM_POINTS, ZOOM_LEVELS = 33, 4  # an extremum is refined to 2 steps / 16**4
+DETECT_POINTS = 16384  # rate signs from derivatives: sign changes closer than horizon / DETECT_POINTS can be missed
+RATE_POINTS = 32768  # rate expressions are cheap to sample: a finer grid for sin(1/t)-like rates
+ROOT_STEPS = 12  # bisection steps of a rate sign change: 2**-12 of a grid step
+ROUND_PROBES = 1024  # probes a round of rate roots may take: a rates call on fewer costs about its overhead
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9, max_depth: int = 40) -> float:
@@ -143,25 +145,34 @@ def ternary_search(fn, lo: float, hi: float, keep_left, steps: int, xtol: float 
     return 0.5 * (lo + hi)
 
 
-def turning_sequence(c, ts: np.ndarray):
-    """The grid ts merged with the local extrema of each column of c(ts) on
-    [ts[0], ts[-1]], each refined by zooming in on the best sample: (times,
-    c at them), in time order.  Non-finite steps mark no extremum."""
-    cv = c(ts)
-    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite step
-        d = np.diff(cv, axis=0, prepend=cv[:1], append=cv[-1:])  # flat beyond the ends
-        k, i = np.nonzero((np.sign(d[:-1]) != np.sign(d[1:])) & np.isfinite(d[:-1] + d[1:]))
-    sign = np.where((d[k, i] > 0) | (d[k + 1, i] < 0), 1.0, -1.0)  # +1: a maximum at ts[k]
-    lo, hi, rows = ts[np.maximum(k - 1, 0)], ts[np.minimum(k + 1, len(ts) - 1)], np.arange(len(k))
-    for _ in range(ZOOM_LEVELS):
-        s = np.linspace(lo, hi, ZOOM_POINTS, axis=-1)
-        v = c(s)
-        j = np.argmax(sign[:, None] * v[rows, :, i], axis=1)
-        lo, hi = s[rows, np.maximum(j - 1, 0)], s[rows, np.minimum(j + 1, ZOOM_POINTS - 1)]
-    x = s[rows, j]
-    r = np.argsort(x, kind="stable")
-    at = np.searchsorted(ts, x[r], side="right")  # each extremum after the grid times equal to it
-    return np.insert(ts, at, x[r]), np.insert(cv, at, v[rows, j][r], axis=0)
+def rate_roots(rates, ts: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sign changes of each column of g = rates(ts), each bisected ROOT_STEPS times with
+    rates(points, column) in rounds: one call at every probe of all its roots' next steps,
+    ROUND_STEPS of them or fewer where that takes over ROUND_PROBES probes, replayed (the
+    probes are the step-by-step mids).  A NaN rate counts as non-negative; a rate of 0 or
+    NaN next to a negative one is a root at its sample (an exact turn, as at a kink of |f|)."""
+    roots = []
+    for i in range(g.shape[-1]):
+        k = np.flatnonzero((g[:-1, i] < 0) != (g[1:, i] < 0))
+        flat = ~((g[:, i] < 0) | (g[:, i] > 0))
+        lo, hi, neg, cols = ts[k], ts[k + 1], g[k, i] < 0, np.arange(len(k))
+        depth = max(1, min(ROUND_STEPS, (ROUND_PROBES // max(len(k), 1) + 1).bit_length() - 1))  # (2^depth - 1) len(k) probes
+        for done in range(0, ROOT_STEPS if len(k) else 0, depth):
+            steps = min(depth, ROOT_STEPS - done)
+            mids, a, b = [], lo[None], hi[None]
+            for _ in range(steps):  # level l has 2^l brackets: node j's (mid, b) is node j of the next, (a, mid) node j + 2^l
+                mids.append(0.5 * (a + b))
+                a, b = np.concatenate((mids[-1], a)), np.concatenate((b, mids[-1]))
+            mids = np.concatenate(mids)
+            kept = (rates(mids, i) < 0) == neg
+            node = np.zeros(len(k), dtype=np.intp)
+            for level in range(steps):
+                row = (1 << level) - 1 + node
+                mid, left = mids[row, cols], kept[row, cols]
+                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+                node = np.where(left, node, node + (1 << level))
+        roots.append(np.where(flat[k], ts[k], np.where(flat[k + 1], ts[k + 1], 0.5 * (lo + hi))))
+    return np.concatenate(roots)
 
 
 @functools.lru_cache(maxsize=None)

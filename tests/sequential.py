@@ -58,15 +58,16 @@ def refine_min_abs(f, lo, hi):
 
 
 def rate_roots(e, ts, g, steps=12):
-    """measures._rate_roots as it bisected: one rates call per step of each
-    column's roots."""
+    """numerics.rate_roots as it bisected: one rates call per step of each
+    column's roots; a root next to a sample whose rate is 0 or NaN is that sample."""
     roots = []
     for i in range(g.shape[-1]):
         k = np.flatnonzero((g[:-1, i] < 0) != (g[1:, i] < 0))
+        flat = ~((g[:, i] < 0) | (g[:, i] > 0))
         lo, hi, neg = ts[k], ts[k + 1], g[k, i] < 0
         for _ in range(steps if len(k) else 0):
             mid = 0.5 * (lo + hi)
             left = (e.rates(mid, i) < 0) == neg
             lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-        roots.append(0.5 * (lo + hi))
+        roots.append(np.where(flat[k], ts[k], np.where(flat[k + 1], ts[k + 1], 0.5 * (lo + hi))))
     return np.concatenate(roots)

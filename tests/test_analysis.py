@@ -276,7 +276,8 @@ def test_composition_rule_count_matches_brute_force(n, weights, seed):
 def _max_after_appended(e, tau, horizon):
     """analysis._max_after as it was: argmax over f(tau) prepended to copies
     of the turning sequence past tau."""
-    ts, fv = e.turning_points(horizon)
+    ts, fv = e.turns(horizon)
+    fv = fv[:, 0]
     after = ts >= tau
     ts, fv = np.append(tau, ts[after]), np.append(e.f_at(tau), fv[after])
     i = int(np.argmax(fv))
@@ -292,8 +293,8 @@ class _Sequence:
         self.fv = np.array([f for _, f in points])
         self.tau, self.at_tau = tau, at_tau
 
-    def turning_points(self, horizon):
-        return self.ts, self.fv
+    def turns(self, horizon):
+        return self.ts, self.fv[:, None]
 
     def f_at(self, t):
         v = self.at_tau if t == self.tau else float(self.fv[np.flatnonzero(self.ts == t)[0]])

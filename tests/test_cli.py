@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import pnmcore as p
 from pnmcore import exprparse, linalg
-from pnmcore.analysis import CLASS_NAMES, CptpGrid
+from pnmcore.analysis import CLASS_NAMES, REFINE_XTOL, CptpGrid
 from pnmcore.cli import MAX_HORIZON, _JSON_WIDTH, _encode_repr, _json_doc, export_grid, load_config, main, run_report
 from pnmcore.errors import ParseError, SchemaError
 from tests.golden_configs import GOLDEN_CONFIGS
@@ -623,3 +624,45 @@ def test_parser_is_built_once_per_process(capsys):
     assert _parser() is _parser()
     assert main(["catalog"]) == 0 and main(["catalog"]) == 0
     assert capsys.readouterr().out == "".join(f"{name}\n" for name in p.PRESET_NAMES) * 2
+
+
+def _analyze_depolarizing(f, horizon, capsys):
+    """(exit code, report or None, stderr) of `analyze` on a typed depolarizing family."""
+    config = json.dumps({"evolution": {"type": "depolarizing", "f": f}, "horizon": horizon})
+    rc = main(["analyze", "--config", config])
+    out, err = capsys.readouterr()
+    return rc, json.loads(out) if rc == 0 else None, err
+
+
+def test_kink_zero_prints_nothing_on_stderr(capsys):
+    # f = |1 - t| falls to 0 at t = 1, a detection-grid time at horizon 3,
+    # and rises: f' = sign(0) = 0 there, so the rate is 0 / 0 and the turn is
+    # that sample, where ln|f| = -inf.  The zero search misses the kink, yet
+    # rhp still diverges, and no RuntimeWarning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, doc, err = _analyze_depolarizing("abs(1-t)", 3, capsys)
+    assert rc == 0 and err == ""
+    assert abs(doc["times"]["tau"] - 1.0) <= REFINE_XTOL  # f's first rise, 1.00003
+    assert doc["measures"]["delta"] == 2.0 and doc["measures"]["rhp"] is None
+
+
+@pytest.mark.parametrize(
+    "f, horizon, message",
+    [
+        # f is NaN past t = 5/3: f' is not finite at the first grid time there
+        ("sqrt(1-0.6*t)", 2.5, "NonFiniteResult: derivative not finite at t=1.6"),
+        # f' = +inf at t = 0, from sqrt(t)
+        ("exp(-t)+0.3*sqrt(t)*exp(-2*t)", 3, "NonFiniteResult: derivative not finite at t=0.0"),
+    ],
+)
+def test_derivative_not_finite_before_the_first_rise_exits_2(f, horizon, message, capsys):
+    rc, _, err = _analyze_depolarizing(f, horizon, capsys)
+    assert rc == 2 and message in err
+
+
+def test_kinks_of_abs_keep_a_finite_derivative(capsys):
+    # f' = e^-t (-|cos 2t| - 2 sign(cos 2t) sin 2t): finite at the kinks too
+    rc, doc, err = _analyze_depolarizing("exp(-t)*abs(cos(2*t))", 3, capsys)
+    assert rc == 0 and err == "" and doc["classification"] == "NNM"
+    assert abs(doc["times"]["tau"] - math.pi / 4) <= REFINE_XTOL

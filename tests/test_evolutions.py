@@ -135,16 +135,16 @@ def test_core_reads_its_zero_from_a_parent_horizon_off_by_rounding(make, monkeyp
 def test_core_outside_the_parent_cache_computes_its_own(f, T):
     horizon = 5.0
     e = p.Depolarizing(p.ScalarFn.parse(f), dim=3)
-    e.turning_points(horizon)
+    e.turns(horizon)
     e.non_bijective_time(horizon)
     core = p.extract_pnm_core(e, T)
     h = max(horizon - T, horizon / 10)
-    own = p.Depolarizing(core.f, dim=3)
+    own = p.Depolarizing(core.f, dim=3)  # the core's f, with its own rates
     assert core.non_bijective_time(h) == own.non_bijective_time(h)
     if T + h > horizon:
-        ts, fv = core.turning_points(h)
-        want_ts, want_fv = own.turning_points(h)
-        assert np.array_equal(ts, want_ts) and np.array_equal(fv, want_fv)
+        ts, lam = core.turns(h)
+        want_ts, want_lam = own.turns(h)
+        assert np.array_equal(ts, want_ts) and np.array_equal(lam, want_lam)
     else:
         assert core.non_bijective_time(h) is not None  # cos(3(t + 2.2)) has zeros in (0, 2.8]
 
@@ -159,20 +159,38 @@ def test_pauli_core_past_the_parents_first_zero_finds_its_own():
     assert p.rhp_measure(core, 3.0) == math.inf
 
 
-def test_core_turning_points_are_the_parents_past_T():
-    e = p.Depolarizing(p.ScalarFn.parse("exp(-0.25*t)*(1-0.3+0.3*cos(3*t))"))
+def test_core_turning_points_are_the_parents_past_T(monkeypatch):
+    _check_core_turns(p.Depolarizing(p.ScalarFn.parse("exp(-0.25*t)*(1-0.3+0.3*cos(3*t))")), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        p.PauliRates(*map(p.ScalarFn.parse, ("0.5", "0.5", "0.2+0.6*cos(3*t)"))),
+        p.PauliProbs(*map(p.ScalarFn.parse, ("0.05*(1-exp(-2*t))", "0.05*(1-exp(-2*t))", "0.15*(1-cos(1.5*t))"))),
+    ],
+)
+def test_pauli_core_turning_points_are_the_parents_past_T(e, monkeypatch):
+    _check_core_turns(e, monkeypatch)
+
+
+def _check_core_turns(e, monkeypatch):
+    # the core's turns are its parent's rate roots past T, shifted, with the
+    # parent's eigenvalues there divided by those at T: no rates call of its own
     T = _rounded_shift()
-    parent_ts, parent_fv = e.turning_points(ROUNDED)
+    parent_ts, parent_lam = e.turns(ROUNDED)
     core = p.extract_pnm_core(e, T)
-    ts, fv = core.turning_points(ROUNDED - T)
+    at_T = e.map_eigenvalues(T)
+    monkeypatch.setattr(type(e), "rates", lambda *args: pytest.fail("rates called"))
+    ts, lam = core.turns(ROUNDED - T)
     past = parent_ts > T
-    assert np.array_equal(ts, np.append(0.0, parent_ts[past] - T))
-    assert np.array_equal(fv, np.append(1.0, parent_fv[past] / e.f_at(T)))
-    assert fv[0] == core.f(0.0) == 1.0
+    assert len(ts) >= 3 and np.array_equal(ts, np.append(0.0, parent_ts[past] - T))
+    assert np.array_equal(lam, np.concatenate((np.ones((1, lam.shape[1])), parent_lam[past] / at_T)))
+    assert np.all(core.map_eigenvalues(0.0) == 1.0)
     # a shorter core horizon keeps the parent's points up to it, then ends at it
-    ts, fv = core.turning_points(1.0)
+    ts, lam = core.turns(1.0)
     assert np.array_equal(ts[1:-1], parent_ts[past & (parent_ts <= T + 1.0)] - T)
-    assert ts[-1] == 1.0 and fv[-1] == core.f(1.0)
+    assert ts[-1] == 1.0 and np.array_equal(lam[-1], core.map_eigenvalues(1.0))
 
 
 def test_pauli_probs_eigenvalue_conversions():

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pnmcore.errors import (
     ExprSyntaxError,
-    NonFiniteResult,
     UnbalancedParens,
     UnknownFunction,
 )
@@ -19,7 +18,8 @@ from pnmcore.exprparse import (
     ScalarFn,
     Unary,
     Variable,
-    numeric_derivative,
+    eval_ast,
+    eval_dual,
     parse_expr,
 )
 
@@ -70,12 +70,6 @@ def test_negative_base_fractional_power_is_nan():
     assert math.isnan(ev("(-2)^0.5"))
 
 
-def test_eval_finite_raises_on_nan():
-    f = ScalarFn.parse("log(t)")
-    with pytest.raises(NonFiniteResult):
-        f.eval_finite(0.0)
-
-
 def test_syntax_errors_carry_offset():
     with pytest.raises(ExprSyntaxError) as exc:
         parse_expr("1 + * 2")
@@ -108,9 +102,24 @@ def test_constant():
     assert float(f(123.0)) == 3.5
 
 
-def test_numeric_derivative():
+def test_dual_derivative():
     f = ScalarFn.parse("t^3")
-    assert abs(numeric_derivative(f, 2.0) - 12.0) < 1e-5
+    assert f.dual(2.0) == (8.0, 12.0)
+    # a constant exponent has no ln a term: t^2 and (1-t)^2 have derivatives at t <= 0 and t >= 1
+    v, d = ScalarFn.parse("t^2+(1-t)^2").dual(np.array([0.0, 1.0, 2.0]))
+    assert v.tolist() == [1.0, 1.0, 5.0] and d.tolist() == [-2.0, 2.0, 6.0]
+    assert ScalarFn.parse("2^t").dual(1.0)[1] == 2.0 * math.log(2.0)
+    # each function's rule at t = 0.5
+    want = {"exp": math.exp(0.5), "log": 2.0, "sin": math.cos(0.5), "cos": -math.sin(0.5), "cosh": math.sinh(0.5),
+            "sinh": math.cosh(0.5), "tanh": 1.0 - math.tanh(0.5) ** 2, "sqrt": 0.5 / math.sqrt(0.5), "abs": 1.0}
+    assert set(want) == set(FUNCTIONS)
+    for name, d in want.items():
+        assert math.isclose(ScalarFn.parse(f"{name}(t)").dual(0.5)[1], d, rel_tol=1e-15), name
+    assert ScalarFn.parse("abs(1-t)").dual(1.0)[1] == 0.0  # at the kink, sign(0) = 0
+    # derivatives that are not finite: sqrt and log at 0, a fractional power of a negative base
+    assert ScalarFn.parse("sqrt(t)").dual(0.0)[1] == math.inf
+    assert ScalarFn.parse("log(t)").dual(0.0)[1] == math.inf
+    assert math.isnan(ScalarFn.parse("(t-1)^0.5").dual(0.5)[1])
 
 
 def test_tree_shape_of_mixed_precedence():
@@ -171,3 +180,66 @@ def test_scalar_and_array_evaluation_agree_bitwise(text, ts, seed):
     for x, inside in zip(xs.tolist(), at_once):
         alone = np.float64(f(x))
         assert alone.tobytes() == inside.tobytes() or (np.isnan(alone) and np.isnan(inside)), (text, x, alone, inside)
+
+
+def _bits_equal(a, b):
+    """The same float64 bits, any NaN equal to any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a) & np.isnan(b)
+    return bool(np.all(nan | ((a.view(np.int64) == b.view(np.int64)) & ~np.isnan(a))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=expressions, ts=times, seed=st.integers(0, 2**32 - 1))
+def test_dual_values_are_eval_ast_bits(text, ts, seed):
+    # f from the forward-mode walk is eval_ast's f, alone and inside arrays,
+    # and f' too has the same bits alone and inside the array
+    node = parse_expr(text)
+    xs = np.concatenate([ts, np.random.default_rng(seed).uniform(-10.0, 10.0, 32)])
+    v, d = eval_dual(node, xs)
+    assert v.shape == d.shape == xs.shape
+    assert _bits_equal(v, eval_ast(node, xs)), text
+    for x, inside, slope in zip(xs.tolist(), v, d):
+        alone, alone_slope = eval_dual(node, x)
+        assert np.ndim(alone) == np.ndim(alone_slope) == 0
+        assert _bits_equal(alone, eval_ast(node, x)) and _bits_equal(alone, inside), (text, x)
+        assert _bits_equal(alone_slope, slope), (text, x)
+
+
+H = 1e-4  # central difference step
+# the same grammar with t as every other atom, so most draws depend on t
+t_expressions = st.recursive(
+    st.one_of(st.just("t"), _atoms),
+    lambda sub: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(sorted(FUNCTIONS)), sub),
+        st.builds("-({})".format, sub),
+        st.builds("({}){}({})".format, sub, st.sampled_from("+-*/^"), sub),
+        st.builds("({})^{}".format, sub, st.sampled_from(["2", "0.5", "(-1)", "3", "(-2)"])),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=t_expressions, t=st.floats(-3.0, 3.0))
+@example(text="(t)^(t)", t=1.3)
+@example(text="sin((t)*(7.25))/(t)", t=0.4)
+@example(text="exp(-(t)*(t))*(cos((3)*(t)))^2", t=0.9)
+def test_dual_derivative_matches_a_central_difference(text, t):
+    # (f(t + h) - f(t - h)) / 2h is f'(t) + f'''(x) h^2 / 6 for some x within
+    # h of t, plus the rounding of f, about eps |f| / h.  Bound |f'''| near t
+    # by twice the largest third difference quotient of f at spacings h and
+    # 2h within 4h of t, and allow f' itself 1e-9 of the sizes it sums.
+    f = ScalarFn.parse(text)
+    xs = t + H * np.arange(-4, 5)
+    fv = f(xs)
+    v, d = f.dual(t)
+    if not (np.all(np.isfinite(fv)) and math.isfinite(d)) or np.max(np.abs(fv)) > 1e6:
+        return  # a pole, a domain edge or an overflow within 4h: no bound to check against
+    scale, eps = np.max(np.abs(fv)), np.finfo(float).eps
+    fine, coarse = np.max(np.abs(np.diff(fv, 3))) / H**3, np.max(np.abs(np.diff(fv[::2], 3))) / (2 * H) ** 3
+    if abs(fine - coarse) > 0.25 * max(fine, coarse) + 16 * eps * scale / H**3:
+        return  # the two spacings disagree: f''' is not resolved at h (a kink of abs nearby)
+    central = (fv[5] - fv[3]) / (2 * H)
+    bound = 2 * max(fine, coarse) * H**2 / 6 + 8 * eps * scale / H + 1e-9 * (abs(d) + scale)
+    assert abs(d - central) <= bound, (text, t, d, central, bound)

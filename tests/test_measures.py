@@ -5,8 +5,7 @@ import pytest
 
 import pnmcore as p
 from pnmcore.errors import DegeneratePair, DomainError, NonFiniteResult, ZeroDifference
-from pnmcore.measures import RATE_POINTS, ROOT_STEPS, _rate_roots
-from pnmcore.numerics import ROUND_STEPS
+from pnmcore.numerics import RATE_POINTS, ROOT_STEPS, ROUND_STEPS, rate_roots
 from tests import sequential
 
 
@@ -262,7 +261,7 @@ def test_rate_roots_take_a_rates_call_per_round(rates, calls):
     assert seen == calls and ROOT_STEPS == 12 and ROUND_STEPS == 6
     ts = np.linspace(0.0, 3.5, RATE_POINTS)
     g = rate(ts)
-    assert np.array_equal(_rate_roots(e, ts, g), sequential.rate_roots(e, ts, g))
+    assert np.array_equal(rate_roots(rate, ts, g), sequential.rate_roots(e, ts, g))
 
 
 def test_eb_time_depolarizing_exponential():

@@ -9,9 +9,10 @@ and T from whole-grid evaluations against the one-time-at-a-time loops they
 replaced; and the composition count, minimum and band rows folded over the
 deferred grid's row blocks, or over a depolarizing scan's sorted samples,
 against the full-grid matmul and argmin they replaced; and the total
-increase and revival peak read from a depolarizing family's turning
-sequence against a dense grid, and those of a depolarizing core, read with
-its first zero from its parent's, against a core that finds its own."""
+increase and revival peak read from a depolarizing family's turns (the
+sign changes of its rates) against a dense grid, and those of a
+depolarizing core, read with its first zero from its parent's, against a
+core that finds its own."""
 
 import math
 
@@ -37,7 +38,7 @@ from pnmcore.errors import (
 from pnmcore.evolutions import F_ZERO_TOL, PAPER_EXAMPLE_F, pauli_min_prob, pauli_probs
 from pnmcore.cli import load_config, run_report
 from pnmcore.measures import _is_eb
-from pnmcore.numerics import DETECT_POINTS, ZOOM_LEVELS
+from pnmcore.numerics import DETECT_POINTS, ROOT_STEPS
 from tests.sequential import bisect_boundary
 
 HORIZON, N = 3.0, 40
@@ -454,45 +455,21 @@ def test_depolarizing_maps_match_the_hand_written_ones(e, times):
             assert err == undefined  # at f(s) = 0 both raise intermediate_map's message
 
 
-def _old_derivative(f, t, h=1e-6):
-    d = (float(f(t + h)) - float(f(t - h))) / (2 * h)
-    if not math.isfinite(d):
-        raise NonFiniteResult(f"derivative not finite at t={t}")
-    return d
-
-
-def _old_non_cptp(e, t, step):
-    """The scalar infinitesimal test the array one replaced, at one time."""
-    if isinstance(e, p.Depolarizing):
-        return _old_derivative(e.f, max(t, 1e-7)) > 0.0
-    rm = e.rate_min(t)
-    if rm is not None:
-        return rm < 0.0
-
-    def scaled(eps):
-        try:
-            return e.intermediate_min_choi(t, t + eps) / eps
-        except UndefinedIntermediateMap:
-            return -math.inf
-
-    v1, v2 = scaled(step), scaled(step / 2.0)
-    if min(abs(v1), abs(v2)) <= SCAN_TOL:
-        return False
-    if (v1 < 0) == (v2 < 0):
-        return v1 < 0
-    return scaled(step / 4.0) < 0
+def _old_non_cptp(e, t):
+    """The scalar infinitesimal test the array one replaced, at one time: a
+    negative canonical rate."""
+    return float(e.rate_min(t)) < 0.0
 
 
 def _reference_tau(e, horizon, n):
     """tau from the grid times taken one at a time, as before the array test."""
     ts = np.linspace(0.0, horizon, n)
-    step = float(ts[1] - ts[0])
     prev = 0.0
     for t in ts:
-        if _old_non_cptp(e, float(t), step):
+        if _old_non_cptp(e, float(t)):
             if t == 0.0:
                 return 0.0
-            return bisect_boundary(lambda x: not _old_non_cptp(e, x, step), prev, float(t), REFINE_XTOL)
+            return bisect_boundary(lambda x: not _old_non_cptp(e, x), prev, float(t), REFINE_XTOL)
         prev = float(t)
     return math.inf
 
@@ -627,15 +604,17 @@ def test_non_finite_pauli_probabilities_before_the_first_flag_are_raised():
 
 
 def test_run_report_evaluates_f_on_one_detection_grid_per_op(monkeypatch):
-    # T's revival peak, t_star's tangential touch, delta and rhp all read the
-    # family's one turning sequence, and the core reads the parent's past T:
-    # f is evaluated once on it per report
-    sizes = []
-    evaluate = exprparse.eval_ast
-    monkeypatch.setattr(exprparse, "eval_ast", lambda node, t: sizes.append(np.size(t)) or evaluate(node, t))
+    # T's revival peak, t_star, delta and rhp all read the family's turns,
+    # from one pass of its rates, f' with f, over the detection grid; the core
+    # reads the parent's past T; nothing else samples f on a grid that fine
+    sizes = {"eval_ast": [], "eval_dual": []}
+    for name, seen in sizes.items():
+        evaluate = getattr(exprparse, name)
+        monkeypatch.setattr(exprparse, name, lambda node, t, seen=seen, evaluate=evaluate: seen.append(np.size(t)) or evaluate(node, t))
     doc = run_report(load_config('{"evolution": {"preset": "paper-example"}}'))
     assert doc["classification"] == "NNM" and "core" in doc
-    assert [size for size in sizes if size > 2048] == [DETECT_POINTS]
+    assert [size for size in sizes["eval_ast"] if size >= 2048] == [2048]  # the one search for a zero of f
+    assert [size for size in sizes["eval_dual"] if size > 2000] == [DETECT_POINTS]
 
 
 @st.composite
@@ -679,9 +658,9 @@ def test_shared_core_matches_a_core_computing_its_own(e, horizon, frac):
     # the parent's grid; a family with the core's f finds its own on its own
     zero = e.non_bijective_time(horizon)
     T = frac * (horizon if zero is None else min(zero, horizon))
-    e.turning_points(horizon)
+    e.turns(horizon)
     core = p.extract_pnm_core(e, T)
-    own = p.Depolarizing(core.f, dim=e.dim)
+    own = p.Depolarizing(core.f, dim=e.dim)  # the core's f, with its own rates
     h = max(horizon - T, horizon / 10)
     close = lambda a, b: a == b or math.isclose(a, b, rel_tol=1e-9)
     assert close(measures._delta(core, h, 2000), measures._delta(own, h, 2000))
@@ -692,9 +671,9 @@ def test_shared_core_matches_a_core_computing_its_own(e, horizon, frac):
     assume(tau < h)
     (x, m), (own_x, own_m) = analysis._max_after(core, tau, h), analysis._max_after(own, tau, h)
     assert math.isclose(m, own_m, rel_tol=1e-12)
-    # each zoom ends within a bracket of 2 steps / 16**(ZOOM_LEVELS - 1) of
-    # its grid, the parent's (the coarser) or the core's, about its peak
-    assert abs(x - own_x) <= 2 * horizon / (DETECT_POINTS - 1) / 16 ** (ZOOM_LEVELS - 1)
+    # each peak is the middle of a bracket of a grid step / 2**ROOT_STEPS about
+    # the root of f', on the parent's grid or on the core's
+    assert abs(x - own_x) <= (horizon + h) / (DETECT_POINTS - 1) / 2 ** (ROOT_STEPS + 1)
 
 
 def _reference_first_failing(e, cs, t_grid, tol=1e-9):
